@@ -1,16 +1,6 @@
 """Stable modal filtering for nodal discontinuous Galerkin methods on LGL grids."""
 
-from .equations import (
-    ProblemSpec,
-    State,
-    energy,
-    initial_state,
-    llf_flux,
-    make_rhs,
-    rhs_burgers_skew,
-    rhs_conservative,
-    rhs_variable_advection,
-)
+from .equations import ProblemSpec, llf_flux, make_rhs
 from .filters import (
     FilterMatrices,
     FilterSpec,
@@ -24,7 +14,6 @@ from .filters import (
     sigma_exponential,
     verify_filter,
 )
-from .kernels import BACKEND, NUMBA_ENABLED
 from .operators import (
     OperatorSet,
     build_operators,

@@ -9,7 +9,9 @@ Subcommands::
     burgers --variant <v> --n 128 --filter-count 16 --out <path>
     fv-reference --cells 10000 --out <path>
 
-Exit codes: 0 success, 1 tolerance failure, 2 usage error.
+Exit codes: 0 success, 1 tolerance failure, 2 usage error. A parameter
+that the package rejects (``ValueError``) or an output path that cannot be
+written (``OSError``) is a usage error: one line on stderr, no traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 from . import experiments
 from .filters import FilterSpec, verify_filter
 from .fv import FvConfig
-from .kernels import BACKEND
 from .operators import build_operators, sbp_residual
 
 
@@ -111,8 +112,7 @@ def _cmd_fv_reference(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dgfilter",
-                                     description=f"nodal DG filtering tools (backend: {BACKEND})")
+    parser = argparse.ArgumentParser(prog="dgfilter", description="nodal DG filtering tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ops = sub.add_parser("ops", help="collocation operator checks")
@@ -164,11 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if isinstance(getattr(args, "n_list", None), str):
-        args.n_list = _parse_n_list(args.n_list)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"dgfilter: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,15 +25,15 @@ PDE_KINDS = (
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """PDE selection, domain and boundary treatment for one run.
+    """PDE selection and domain for one run.
 
-    ``inflow`` is the Dirichlet trace g(t) imposed weakly at the left
-    endpoint for advection problems; Burgers runs are periodic.
+    The PDE fixes the boundary treatment: advection problems impose the
+    Dirichlet trace ``inflow`` = g(t) weakly at the left endpoint, Burgers
+    runs couple the two element faces periodically.
     """
 
     pde: str
     domain: tuple[float, float] = (-1.0, 1.0)
-    bc: str = "periodic"
     wave_speed: float = 1.0
     wave_speed_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     inflow: Optional[Callable[[float], float]] = None
@@ -44,18 +44,10 @@ class ProblemSpec:
         x_l, x_r = self.domain
         if not x_r > x_l:
             raise ValueError("domain must satisfy x_L < x_R")
-        if self.bc not in ("periodic", "inflow_dirichlet"):
-            raise ValueError(f"unknown boundary treatment {self.bc!r}")
-        if self.bc == "periodic" and not self.pde.startswith("burgers"):
-            raise ValueError("periodic coupling is only supported for Burgers")
-        if self.pde.startswith("advection") and self.bc != "inflow_dirichlet":
-            raise ValueError("advection problems need an inflow boundary")
         if self.pde == "advection_constant" and self.wave_speed < 0:
             raise ValueError("inflow at the left requires a non-negative wave speed")
         if self.pde == "advection_variable" and self.wave_speed_fn is None:
             raise ValueError("variable-speed advection needs wave_speed_fn")
-        if self.bc == "inflow_dirichlet" and self.inflow is None:
-            raise ValueError("inflow boundary needs boundary data g(t)")
 
     @property
     def dx(self) -> float:
@@ -68,29 +60,6 @@ class ProblemSpec:
 
     def physical_nodes(self, ref_nodes: np.ndarray) -> np.ndarray:
         return self.domain[0] + 0.5 * self.dx * (ref_nodes + 1.0)
-
-
-@dataclass
-class State:
-    """Nodal solution with its current time and problem context."""
-
-    U: np.ndarray
-    t: float
-    N: int
-    problem: ProblemSpec
-
-    def __post_init__(self):
-        if len(self.U) != self.N + 1:
-            raise ValueError(f"state needs {self.N + 1} nodal values, got {len(self.U)}")
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.U)))
-
-
-def initial_state(problem: ProblemSpec, ops: OperatorSet,
-                  init: Callable[[np.ndarray], np.ndarray]) -> State:
-    x = problem.physical_nodes(ops.nodes)
-    return State(U=np.asarray(init(x), dtype=float), t=0.0, N=ops.N, problem=problem)
 
 
 def llf_flux(u_left: float, u_right: float, flux_kind: str, a: float = 1.0) -> float:
@@ -109,61 +78,13 @@ def llf_flux(u_left: float, u_right: float, flux_kind: str, a: float = 1.0) -> f
     return 0.5 * (f_l + f_r) - 0.5 * lam * (u_right - u_left)
 
 
-def rhs_conservative(state: State, ops: OperatorSet) -> np.ndarray:
-    """Strong-form conservative right-hand side (constant advection or Burgers).
-
-    Non-finite states simply propagate NaNs; the time-loop driver detects
-    them and records the crash.
-    """
-    p = state.problem
-    if p.pde == "advection_constant":
-        g = float(p.inflow(state.t))
-        return kernels.advection_rhs(state.U, ops.D, ops.weights, p.scale,
-                                     p.wave_speed, g)
-    if p.pde == "burgers_conservative":
-        return kernels.burgers_cons_rhs(state.U, ops.D, ops.weights, p.scale)
-    raise ValueError(f"rhs_conservative does not handle {p.pde!r}")
-
-
-def rhs_burgers_skew(state: State, ops: OperatorSet) -> np.ndarray:
-    """Split-form Burgers right-hand side with periodic LLF surface coupling."""
-    p = state.problem
-    if p.pde != "burgers_skew":
-        raise ValueError(f"rhs_burgers_skew does not handle {p.pde!r}")
-    return kernels.burgers_skew_rhs(state.U, ops.D, ops.weights, p.scale)
-
-
-def rhs_variable_advection(state: State, ops: OperatorSet) -> np.ndarray:
-    """Advective-form collocation RHS with a weak inflow penalty on the left.
-
-    The wave speed must be non-negative at the left endpoint so that the
-    left face is the (only) inflow; the right face is outflow and gets no
-    penalty.
-    """
-    p = state.problem
-    if p.pde != "advection_variable":
-        raise ValueError(f"rhs_variable_advection does not handle {p.pde!r}")
-    x = p.physical_nodes(ops.nodes)
-    a_nodes = np.asarray(p.wave_speed_fn(x), dtype=float)
-    a_left = float(a_nodes[0])
-    if a_left < 0:
-        raise ValueError("wave speed must be non-negative at the left endpoint")
-    g = float(p.inflow(state.t))
-    return kernels.varspeed_rhs(state.U, ops.D, a_nodes, ops.weights, p.scale,
-                                a_left, g)
-
-
-def energy(state: State, ops: OperatorSet) -> float:
-    """Discrete integral of u^2 / 2 over the physical domain."""
-    u = state.U
-    return 0.5 * (state.problem.dx / 2.0) * float(np.sum(ops.weights * u * u))
-
-
 def make_rhs(problem: ProblemSpec, ops: OperatorSet) -> Callable[[np.ndarray, float], np.ndarray]:
     """Bind a problem to its operators as an array-level rhs(u, t) closure.
 
-    Precomputes everything the hot kernels need so the time loop touches no
-    Python-level problem logic.
+    This is the one right-hand-side entry point for every PDE kind. It
+    precomputes everything the kernels need so the time loop touches no
+    Python-level problem logic; the kernels themselves are looked up on
+    :mod:`kernels` at call time, so a tracer can swap them.
     """
     dmat, w, scale = ops.D, ops.weights, problem.scale
     if problem.pde == "advection_constant":

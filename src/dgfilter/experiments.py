@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .equations import ProblemSpec, energy, initial_state, make_rhs
+from .equations import ProblemSpec, make_rhs
 from .filters import FilterSpec, build_filter
 from .fv import FvConfig, solve_fv_burgers
 from .operators import OperatorSet, build_operators, interpolation_matrix
@@ -159,8 +159,8 @@ def run_convergence(n_list: Sequence[int], dt: float,
     ns, errors = [], []
     for n in n_list:
         problem = ProblemSpec(
-            pde="advection_constant", domain=(0.0, 1.0), bc="inflow_dirichlet",
-            wave_speed=1.0, inflow=lambda t: float(gaussian_pulse(0.0, t)),
+            pde="advection_constant", domain=(0.0, 1.0), wave_speed=1.0,
+            inflow=lambda t: float(gaussian_pulse(0.0, t)),
         )
         ops = build_operators(n)
         schedule = FilterSchedule()
@@ -203,8 +203,7 @@ def run_varspeed(n: int = 256, dt: float = 1.0 / 2000.0, filtered: bool = True,
     """
     t_start = time.perf_counter()
     problem = ProblemSpec(
-        pde="advection_variable", domain=(-1.0, 1.0), bc="inflow_dirichlet",
-        wave_speed_fn=varspeed_wave_speed,
+        pde="advection_variable", domain=(-1.0, 1.0), wave_speed_fn=varspeed_wave_speed,
         inflow=lambda t: float(varspeed_exact(-1.0, t)),
     )
     ops = build_operators(n)
@@ -258,11 +257,15 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
     t_start = time.perf_counter()
     pde = "burgers_conservative" if variant.startswith("cons") else "burgers_skew"
     filtered = variant.endswith("_filtered")
-    problem = ProblemSpec(pde=pde, domain=(0.0, 2.0), bc="periodic")
+    problem = ProblemSpec(pde=pde, domain=(0.0, 2.0))
     ops = build_operators(n)
     x = problem.physical_nodes(ops.nodes)
-    state0 = initial_state(problem, ops, burgers_initial)
-    e0 = energy(state0, ops)
+
+    def phys_energy(u):
+        return 0.5 * (problem.dx / 2.0) * float(np.sum(ops.weights * u * u))
+
+    u0 = burgers_initial(x)
+    e0 = phys_energy(u0)
 
     schedule = FilterSchedule()
     if filtered:
@@ -277,16 +280,13 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
         umax = float(np.max(np.abs(u)))
         return cfl * h_min / max(umax, 1e-12)
 
-    def phys_energy(u):
-        return 0.5 * (problem.dx / 2.0) * float(np.sum(ops.weights * u * u))
-
     def crash_check(u):
         if not np.all(np.isfinite(u)):
             return True
         return phys_energy(u) > BLOWUP_FACTOR * e0
 
     traj = integrate(
-        state0.U,
+        u0,
         make_rhs(problem, ops),
         RunConfig(t_final=t_final, cfl=cfl, record_every=record_every),
         schedule=schedule,

@@ -10,7 +10,6 @@ measure directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,15 +24,12 @@ class FilterSpec:
     s: even filter order ("strength"); 16 is strong, 32 is weak.
     nc: number of leading modes left untouched.
     clip_highest: force the last mode's coefficient to exactly zero.
-    sigma_fn: optional custom profile (i, n) -> sigma overriding the
-        exponential; values must stay in [0, 1]. clip_highest still applies.
     """
 
     alpha: float = 36.0
     s: int = 16
     nc: int = 4
     clip_highest: bool = True
-    sigma_fn: Optional[Callable[[int, int], float]] = None
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -46,18 +42,16 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class FilterMatrices:
-    """Cutoff, filter and auxiliary-filter matrices for one degree.
+    """Cutoff and filter matrices for one degree: what a run applies.
 
-    C: diagonal modal cutoff; F: nodal filter V C Vinv; G: the adjoint
-    filter M^-1 F^T M; K: Gram matrix V^T M V of the modal basis under LGL
-    quadrature. Immutable after construction.
+    C: diagonal modal cutoff; F: nodal filter V C Vinv. The adjoint filter
+    and the Gram matrix are verification quantities, formed only by
+    :func:`verify_filter`. Immutable after construction.
     """
 
     spec: FilterSpec
     C: np.ndarray
     F: np.ndarray
-    G: np.ndarray
-    K: np.ndarray
 
 
 def sigma_exponential(i: int, n: int, spec: FilterSpec) -> float:
@@ -82,11 +76,7 @@ def cutoff_matrix(n: int, spec: FilterSpec) -> np.ndarray:
     coefficients lie in [0, 1] and, when at least one mode is unaffected,
     that sigma_0 is exactly 1.
     """
-    if spec.sigma_fn is not None:
-        sig = np.array([float(spec.sigma_fn(i, n)) for i in range(n + 1)])
-        if spec.clip_highest:
-            sig[n] = 0.0
-    elif spec.nc > n:
+    if spec.nc > n:
         sig = np.ones(n + 1)
         if spec.clip_highest:
             sig[n] = 0.0
@@ -94,7 +84,7 @@ def cutoff_matrix(n: int, spec: FilterSpec) -> np.ndarray:
         sig = np.array([sigma_exponential(i, n, spec) for i in range(n + 1)])
     if np.any(sig < 0.0) or np.any(sig > 1.0):
         raise ValueError("cutoff coefficients must lie in [0, 1]")
-    if spec.sigma_fn is None and spec.nc >= 1 and sig[0] != 1.0:
+    if spec.nc >= 1 and sig[0] != 1.0:
         raise ValueError("sigma_0 must equal 1 when low modes are unaffected")
     return np.diag(sig)
 
@@ -104,26 +94,36 @@ def filter_matrix(vmat: np.ndarray, vinv: np.ndarray, cmat: np.ndarray) -> np.nd
     return vmat @ cmat @ vinv
 
 
-def auxiliary_filter(mass: np.ndarray, fmat: np.ndarray) -> np.ndarray:
+def auxiliary_filter(w: np.ndarray, fmat: np.ndarray) -> np.ndarray:
     """Adjoint filter M^-1 F^T M of ``fmat`` with respect to the quadrature.
 
     For LGL collocation operators this coincides with F itself, which is
     what makes the explicit filter contractive. Computed entrywise from the
-    diagonal of the mass matrix.
+    quadrature weights ``w``, the diagonal of M.
     """
-    w = np.diag(mass) if mass.ndim == 2 else np.asarray(mass)
     if np.any(w <= 0):
-        raise ValueError("mass matrix diagonal must be positive")
+        raise ValueError("quadrature weights must be positive")
     return (fmat.T * w[None, :]) / w[:, None]
 
 
-def quadrature_gram(vmat: np.ndarray, mass: np.ndarray) -> np.ndarray:
+def _mass_product(xmat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X^T M X for the diagonal mass matrix M = diag(w).
+
+    Scaling the columns of X^T by the weights costs O(N^2), where a product
+    with the dense diagonal costs O(N^3). The C-ordered copy makes the
+    remaining product the same BLAS call as (X^T M) X, with the same
+    rounding.
+    """
+    return np.ascontiguousarray(xmat.T * w) @ xmat
+
+
+def quadrature_gram(vmat: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Gram matrix V^T M V of the modal basis under the quadrature rule.
 
     For exact LGL operators this is diag(1, ..., 1, 2 + 1/N): every product
     of modes is integrated exactly except the last mode against itself.
     """
-    return vmat.T @ mass @ vmat
+    return _mass_product(vmat, w)
 
 
 def gram_offdiag_max(kmat: np.ndarray) -> float:
@@ -131,29 +131,26 @@ def gram_offdiag_max(kmat: np.ndarray) -> float:
     return float(np.max(np.abs(kmat - np.diag(np.diag(kmat)))))
 
 
-def contractivity_spectrum(fmat: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of the symmetrized matrix F^T M F - M.
+def contractivity_spectrum(fmat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of the symmetrized matrix F^T M F - M, M = diag(w).
 
     A non-positive spectrum is exactly the statement that the filter never
     amplifies the quadrature norm. The product is symmetric in exact
     arithmetic; symmetrizing kills roundoff asymmetry before the solve.
     """
-    a = fmat.T @ mass @ fmat - mass
+    a = _mass_product(fmat, w) - np.diag(w)
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
-def contraction_check(fmat: np.ndarray, mass: np.ndarray, u: np.ndarray) -> tuple[float, float]:
-    """Return (||F u||, ||u||) in the quadrature norm."""
-    return discrete_norm(fmat @ u, mass), discrete_norm(u, mass)
+def contraction_check(fmat: np.ndarray, w: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+    """Return (||F u||, ||u||) in the quadrature norm with weights ``w``."""
+    return discrete_norm(fmat @ u, w), discrete_norm(u, w)
 
 
 def build_filter(ops: OperatorSet, spec: FilterSpec) -> FilterMatrices:
-    """Assemble all filter matrices for one operator set."""
+    """Assemble the cutoff and filter matrices for one operator set."""
     cmat = cutoff_matrix(ops.N, spec)
-    fmat = filter_matrix(ops.V, ops.Vinv, cmat)
-    gmat = auxiliary_filter(ops.M, fmat)
-    kmat = quadrature_gram(ops.V, ops.M)
-    return FilterMatrices(spec=spec, C=cmat, F=fmat, G=gmat, K=kmat)
+    return FilterMatrices(spec=spec, C=cmat, F=filter_matrix(ops.V, ops.Vinv, cmat))
 
 
 @dataclass(frozen=True)
@@ -183,22 +180,24 @@ class FilterVerification:
 
 def verify_filter(ops: OperatorSet, spec: FilterSpec) -> FilterVerification:
     """Measure the Gram pattern, adjoint identity and contractivity spectrum."""
-    fm = build_filter(ops, spec)
+    fmat = build_filter(ops, spec).F
+    gmat = auxiliary_filter(ops.weights, fmat)
+    kmat = quadrature_gram(ops.V, ops.weights)
     n = ops.N
-    gram_last = float(fm.K[n, n])
+    gram_last = float(kmat[n, n])
     gram_error = max(
-        float(np.max(np.abs(np.diag(fm.K)[:n] - 1.0))) if n > 0 else 0.0,
+        float(np.max(np.abs(np.diag(kmat)[:n] - 1.0))) if n > 0 else 0.0,
         abs(gram_last - (2.0 + 1.0 / n)),
     )
-    adjoint_gap = float(np.max(np.abs(fm.G - fm.F)))
-    lam = contractivity_spectrum(fm.F, ops.M)
+    adjoint_gap = float(np.max(np.abs(gmat - fmat)))
+    lam = contractivity_spectrum(fmat, ops.weights)
     return FilterVerification(
         n=n,
-        gram_offdiag=gram_offdiag_max(fm.K),
+        gram_offdiag=gram_offdiag_max(kmat),
         gram_last=gram_last,
         gram_error=gram_error,
         adjoint_gap=adjoint_gap,
-        adjoint_tol=1e-10 * float(np.max(np.abs(fm.F))),
+        adjoint_tol=1e-10 * float(np.max(np.abs(fmat))),
         lambda_max=float(lam[-1]),
         lambda_tol=1e-12 * float(np.max(ops.weights)),
     )

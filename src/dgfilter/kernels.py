@@ -1,40 +1,15 @@
-"""Hot inner-loop kernels, JIT-compiled with numba when available.
+"""numpy RHS bodies and FV sweep.
 
-The right-hand-side kernels are written once in numpy form (the matrix-
-vector product goes through BLAS either way) and numba compiles those same
-bodies, which removes the per-call interpreter overhead that otherwise
-dominates small time steps. The finite-volume sweep keeps a separate
-explicit-loop version: there the jitted loops beat the vectorized code
-outright by skipping the per-step temporaries.
-
-The active backend is picked once at import time; set
-``DGFILTER_NO_NUMBA=1`` to force the plain numpy path.
-``benchmarks/bench_kernels.py`` times both.
-
-All right-hand sides work on the reference element: ``scale`` is 2 / dx and
-``w`` the LGL weight vector. Boundary data enters as plain floats so the
-kernels stay free of Python callables.
+``equations.make_rhs`` binds the right-hand sides to a problem and looks
+them up here at call time. All of them work on the reference element:
+``scale`` is 2 / dx and ``w`` the LGL weight vector; boundary data enters
+as plain floats.
 """
-
-import os
 
 import numpy as np
 
-_PURE_NUMPY = os.environ.get("DGFILTER_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
 
-try:
-    if _PURE_NUMPY:
-        raise ImportError("numba disabled via DGFILTER_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-
-def advection_rhs_numpy(u, dmat, w, scale, a, u_in):
+def advection_rhs(u, dmat, w, scale, a, u_in):
     """Conservative constant-speed advection: upwind data u_in at the left face."""
     f = a * u
     dudt = -scale * (dmat @ f)
@@ -44,7 +19,7 @@ def advection_rhs_numpy(u, dmat, w, scale, a, u_in):
     return dudt
 
 
-def burgers_cons_rhs_numpy(u, dmat, w, scale):
+def burgers_cons_rhs(u, dmat, w, scale):
     """Conservative Burgers on one periodic element; LLF flux at the shared face."""
     f = 0.5 * u * u
     dudt = -scale * (dmat @ f)
@@ -55,7 +30,7 @@ def burgers_cons_rhs_numpy(u, dmat, w, scale):
     return dudt
 
 
-def burgers_skew_rhs_numpy(u, dmat, w, scale):
+def burgers_skew_rhs(u, dmat, w, scale):
     """Split-form Burgers volume term, conservative surface term, periodic."""
     f = 0.5 * u * u
     dudt = -scale * ((2.0 / 3.0) * (dmat @ f) + (1.0 / 3.0) * u * (dmat @ u))
@@ -66,14 +41,14 @@ def burgers_skew_rhs_numpy(u, dmat, w, scale):
     return dudt
 
 
-def varspeed_rhs_numpy(u, dmat, a_nodes, w, scale, a_left, g_in):
+def varspeed_rhs(u, dmat, a_nodes, w, scale, a_left, g_in):
     """Advective-form variable-speed transport with a left inflow penalty."""
     dudt = -a_nodes * (scale * (dmat @ u))
     dudt[0] -= scale * a_left * (u[0] - g_in) / w[0]
     return dudt
 
 
-def fv_burgers_numpy(u0, dx, cfl, t_end):
+def fv_burgers(u0, dx, cfl, t_end):
     """First-order finite-volume Burgers sweep, periodic, forward Euler.
 
     Local Lax-Friedrichs interface fluxes, CFL-adaptive step size. Returns
@@ -94,64 +69,3 @@ def fv_burgers_numpy(u0, dx, cfl, t_end):
         t += dt
         steps += 1
     return u, steps
-
-
-def _fv_burgers_loops(u0, dx, cfl, t_end):
-    # same stepping as fv_burgers_numpy, written for the JIT: one flux pass,
-    # no roll temporaries
-    n = u0.shape[0]
-    u = u0.copy()
-    unew = np.empty(n)
-    fface = np.empty(n)  # fface[i] sits between cell i and cell i+1
-    t = 0.0
-    steps = 0
-    while t < t_end - 1e-14:
-        umax = 0.0
-        for i in range(n):
-            ai = abs(u[i])
-            if ai > umax:
-                umax = ai
-        if umax <= 1e-14:
-            dt = t_end - t
-        else:
-            dt = cfl * dx / umax
-            if dt > t_end - t:
-                dt = t_end - t
-        for i in range(n):
-            ul = u[i]
-            ur = u[(i + 1) % n]
-            lam = max(abs(ul), abs(ur))
-            fface[i] = 0.25 * (ul * ul + ur * ur) - 0.5 * lam * (ur - ul)
-        for i in range(n):
-            unew[i] = u[i] - (dt / dx) * (fface[i] - fface[i - 1])
-        u, unew = unew, u
-        t += dt
-        steps += 1
-    return u.copy(), steps
-
-
-if NUMBA_ENABLED:
-    _jit = njit(cache=True)
-    advection_rhs_numba = _jit(advection_rhs_numpy)
-    burgers_cons_rhs_numba = _jit(burgers_cons_rhs_numpy)
-    burgers_skew_rhs_numba = _jit(burgers_skew_rhs_numpy)
-    varspeed_rhs_numba = _jit(varspeed_rhs_numpy)
-    fv_burgers_numba = _jit(_fv_burgers_loops)
-
-    advection_rhs = advection_rhs_numba
-    burgers_cons_rhs = burgers_cons_rhs_numba
-    burgers_skew_rhs = burgers_skew_rhs_numba
-    varspeed_rhs = varspeed_rhs_numba
-    fv_burgers = fv_burgers_numba
-else:
-    advection_rhs_numba = None
-    burgers_cons_rhs_numba = None
-    burgers_skew_rhs_numba = None
-    varspeed_rhs_numba = None
-    fv_burgers_numba = None
-
-    advection_rhs = advection_rhs_numpy
-    burgers_cons_rhs = burgers_cons_rhs_numpy
-    burgers_skew_rhs = burgers_skew_rhs_numpy
-    varspeed_rhs = varspeed_rhs_numpy
-    fv_burgers = fv_burgers_numpy

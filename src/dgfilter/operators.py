@@ -16,7 +16,7 @@ _NEWTON_MAXIT = 100
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """All collocation matrices for one polynomial degree N.
+    """The collocation operators one run needs, for one polynomial degree N.
 
     Treated as read-only after construction; safe to share across threads.
 
@@ -24,10 +24,8 @@ class OperatorSet:
     ----------
     N : polynomial degree (nodes run 0..N)
     nodes : N+1 LGL nodes in [-1, 1], ascending
-    weights : N+1 positive quadrature weights
-    M : diagonal mass matrix, diag(weights)
+    weights : N+1 positive quadrature weights, the diagonal of the mass matrix
     D : dense nodal differentiation matrix
-    B : boundary matrix diag(-1, 0, ..., 0, 1)
     V : Vandermonde matrix of the normalized Legendre basis at the nodes
     Vinv : inverse of V (nodal -> modal transform)
     """
@@ -35,9 +33,7 @@ class OperatorSet:
     N: int
     nodes: np.ndarray
     weights: np.ndarray
-    M: np.ndarray
     D: np.ndarray
-    B: np.ndarray
     V: np.ndarray
     Vinv: np.ndarray
 
@@ -100,22 +96,14 @@ def lgl_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
 def legendre_normalized(j: int, xi):
     """Evaluate the degree-``j`` Legendre polynomial normalized to unit L2 norm.
 
-    Uses the three-term recurrence; accepts a scalar or an array of points.
+    Reads column ``j`` of the three-term recurrence table; accepts a scalar
+    or an array of points.
     """
     if j < 0:
         raise ValueError("mode index must be non-negative")
     x = np.asarray(xi, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    p_prev = np.ones_like(x)
-    if j == 0:
-        out = np.sqrt(0.5) * p_prev
-    else:
-        p = x.copy()
-        for k in range(1, j):
-            p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-        out = np.sqrt(j + 0.5) * p
-    return float(out[0]) if scalar else out
+    out = _legendre_table(j, x.reshape(-1))[:, j].reshape(x.shape)
+    return float(out) if x.ndim == 0 else out
 
 
 def _legendre_table(n: int, x: np.ndarray) -> np.ndarray:
@@ -199,41 +187,39 @@ def interpolation_matrix(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return mat
 
 
-def discrete_inner(u: np.ndarray, v: np.ndarray, m: np.ndarray) -> float:
-    """Quadrature inner product sum_i u_i M_ii v_i.
-
-    ``m`` may be the diagonal mass matrix or the bare weight vector.
-    """
-    w = np.diag(m) if np.ndim(m) == 2 else np.asarray(m)
+def discrete_inner(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
+    """Quadrature inner product sum_i u_i w_i v_i with LGL weights ``w``."""
     return float(np.sum(u * w * v))
 
 
-def discrete_norm(u: np.ndarray, m: np.ndarray) -> float:
+def discrete_norm(u: np.ndarray, w: np.ndarray) -> float:
     """Quadrature norm induced by :func:`discrete_inner`."""
-    return float(np.sqrt(discrete_inner(u, u, m)))
+    return float(np.sqrt(discrete_inner(u, u, w)))
 
 
 def sbp_residual(ops: OperatorSet) -> float:
-    """Max-abs entry of M D + (M D)^T - B; a construction self-check."""
-    md = ops.M @ ops.D
-    return float(np.max(np.abs(md + md.T - ops.B)))
+    """Max-abs entry of M D + (M D)^T - B; a construction self-check.
+
+    M = diag(weights) scales the rows of D, and the boundary matrix
+    B = diag(-1, 0, ..., 0, 1) only touches the two corners.
+    """
+    md = ops.weights[:, None] * ops.D
+    resid = md + md.T
+    resid[0, 0] += 1.0
+    resid[-1, -1] -= 1.0
+    return float(np.max(np.abs(resid)))
 
 
 def build_operators(n: int, check: bool = True) -> OperatorSet:
-    """Construct the full operator set for degree ``n``.
+    """Construct the operator set for degree ``n``.
 
     With ``check`` enabled the summation-by-parts identity is verified to
     roundoff before returning.
     """
     nodes, weights = lgl_nodes_weights(n)
-    mass = np.diag(weights)
     dmat = derivative_matrix(nodes)
-    bmat = np.zeros((n + 1, n + 1))
-    bmat[0, 0] = -1.0
-    bmat[n, n] = 1.0
     vmat, vinv = vandermonde(nodes)
-    ops = OperatorSet(N=n, nodes=nodes, weights=weights, M=mass, D=dmat,
-                      B=bmat, V=vmat, Vinv=vinv)
+    ops = OperatorSet(N=n, nodes=nodes, weights=weights, D=dmat, V=vmat, Vinv=vinv)
     if check:
         resid = sbp_residual(ops)
         if resid > 1e-9:

@@ -15,7 +15,7 @@ RK3_A = (0.0, -5.0 / 9.0, -153.0 / 128.0)
 RK3_B = (1.0 / 3.0, 15.0 / 16.0, 8.0 / 15.0)
 RK3_C = (0.0, 1.0 / 3.0, 3.0 / 4.0)
 
-FILTER_MODES = ("none", "every_step", "every_stage", "at_times")
+FILTER_MODES = ("none", "every_step", "at_times")
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,12 @@ class Trajectory:
     crash_time: Optional[float] = None
 
 
-def rk3_step(u, t: float, dt: float, rhs, stage_hook=None):
-    """One low-storage three-stage step of u' = rhs(u, t).
-
-    ``stage_hook``, when given, transforms the solution after every stage
-    (used for per-stage filtering).
-    """
+def rk3_step(u, t: float, dt: float, rhs):
+    """One low-storage three-stage step of u' = rhs(u, t)."""
     du = 0.0
     for a, b, c in zip(RK3_A, RK3_B, RK3_C):
         du = a * du + dt * rhs(u, t + c * dt)
         u = u + b * du
-        if stage_hook is not None:
-            u = stage_hook(u)
     return u
 
 
@@ -123,7 +117,6 @@ def integrate(
         raise ValueError("scheduled filter times must lie within the horizon")
 
     fmat = schedule.matrices.F if schedule.matrices is not None else None
-    stage_hook = (lambda u: fmat @ u) if schedule.mode == "every_stage" else None
 
     u = np.array(u0, dtype=float, copy=True)
     t = t0
@@ -154,7 +147,7 @@ def integrate(
     while t < t_end - eps:
         dt = config.dt if config.dt is not None else float(dt_fn(u))
         dt = min(dt, t_end - t)
-        u = rk3_step(u, t, dt, rhs, stage_hook=stage_hook)
+        u = rk3_step(u, t, dt, rhs)
         t += dt
         step += 1
 

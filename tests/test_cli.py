@@ -42,6 +42,33 @@ class TestExitCodes:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["ops", "check", "--n", "0"], id="ops-n0"),
+        pytest.param(["ops", "check", "--n", "600"], id="ops-n600"),
+        pytest.param(["filter", "verify", "--n", "8", "--s", "3"], id="filter-odd-s"),
+        pytest.param(["burgers", "--variant", "cons_filtered", "--filter-count", "0",
+                      "--out", "{tmp}/b.csv"], id="burgers-filter-count0"),
+        pytest.param(["burgers", "--variant", "skew_unfiltered", "--cfl", "-1",
+                      "--out", "{tmp}/b.csv"], id="burgers-negative-cfl"),
+        pytest.param(["varspeed", "--dt", "0", "--out", "{tmp}/v.csv"], id="varspeed-dt0"),
+        pytest.param(["fv-reference", "--cells", "5", "--out", "{tmp}/f.csv"], id="fv-cells5"),
+        pytest.param(["convergence", "--n-list", "3:5", "--out", "{tmp}/c.csv"],
+                     id="convergence-low-degrees"),
+        pytest.param(["fv-reference", "--cells", "100", "--out", "{tmp}/missing/f.csv"],
+                     id="unwritable-out"),
+    ])
+    def test_rejected_input_is_exit_two_with_one_line(self, argv, tmp_path, capsys):
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("dgfilter: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_tolerance_failure_stays_exit_one(self, capsys):
+        # the SBP residual at N = 397 exceeds the printed tolerance
+        assert main(["ops", "check", "--n", "397"]) == 1
+        assert capsys.readouterr().out.rstrip().endswith("FAIL")
+
 
 class TestCsvOutputs:
     def test_convergence_writes_csv(self, tmp_path, capsys):

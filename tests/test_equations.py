@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from dgfilter.equations import (
-    ProblemSpec,
-    State,
-    energy,
-    initial_state,
-    llf_flux,
-    make_rhs,
-    rhs_burgers_skew,
-    rhs_conservative,
-    rhs_variable_advection,
-)
+from dgfilter.equations import ProblemSpec, llf_flux, make_rhs
 from dgfilter.experiments import (
     burgers_initial,
     varspeed_exact,
@@ -24,29 +14,28 @@ from dgfilter.operators import build_operators
 
 
 def advection_problem(g, a=1.0, domain=(0.0, 1.0)):
-    return ProblemSpec(pde="advection_constant", domain=domain,
-                       bc="inflow_dirichlet", wave_speed=a, inflow=g)
+    return ProblemSpec(pde="advection_constant", domain=domain, wave_speed=a, inflow=g)
 
 
 def burgers_problem(pde="burgers_conservative"):
-    return ProblemSpec(pde=pde, domain=(0.0, 2.0), bc="periodic")
+    return ProblemSpec(pde=pde, domain=(0.0, 2.0))
 
 
 def varspeed_problem():
     return ProblemSpec(pde="advection_variable", domain=(-1.0, 1.0),
-                       bc="inflow_dirichlet", wave_speed_fn=varspeed_wave_speed,
+                       wave_speed_fn=varspeed_wave_speed,
                        inflow=lambda t: float(varspeed_exact(-1.0, t)))
 
 
-class TestProblemSpec:
-    def test_rejects_periodic_advection(self):
-        with pytest.raises(ValueError):
-            ProblemSpec(pde="advection_constant", bc="periodic")
+def energy(problem, ops, u):
+    """Discrete integral of u^2 / 2 over the physical domain."""
+    return 0.5 * (problem.dx / 2.0) * float(np.sum(ops.weights * u * u))
 
+
+class TestProblemSpec:
     def test_rejects_negative_speed_inflow(self):
         with pytest.raises(ValueError):
-            ProblemSpec(pde="advection_constant", bc="inflow_dirichlet",
-                        wave_speed=-1.0, inflow=lambda t: 0.0)
+            ProblemSpec(pde="advection_constant", wave_speed=-1.0, inflow=lambda t: 0.0)
 
     def test_rejects_reversed_domain(self):
         with pytest.raises(ValueError):
@@ -80,21 +69,19 @@ class TestLlfFlux:
 class TestConservativeRhs:
     def test_constant_is_steady_for_advection(self):
         ops = build_operators(12)
-        problem = advection_problem(lambda t: 3.0)
-        state = State(U=np.full(13, 3.0), t=0.0, N=12, problem=problem)
-        assert np.max(np.abs(rhs_conservative(state, ops))) <= 1e-13
+        rhs = make_rhs(advection_problem(lambda t: 3.0), ops)
+        assert np.max(np.abs(rhs(np.full(13, 3.0), 0.0))) <= 1e-13
 
     def test_constant_is_steady_for_burgers(self):
         ops = build_operators(12)
-        state = State(U=np.full(13, 0.4), t=0.0, N=12, problem=burgers_problem())
-        assert np.max(np.abs(rhs_conservative(state, ops))) <= 1e-13
+        rhs = make_rhs(burgers_problem(), ops)
+        assert np.max(np.abs(rhs(np.full(13, 0.4), 0.0))) <= 1e-13
 
     def test_linear_profile_exact_transport(self):
         # u(x, 0) = xi on [-1, 1] with matching inflow data: u_t = -u_x = -1
         ops = build_operators(8)
-        problem = advection_problem(lambda t: -1.0 - t, domain=(-1.0, 1.0))
-        state = State(U=ops.nodes.copy(), t=0.0, N=8, problem=problem)
-        assert np.allclose(rhs_conservative(state, ops), -np.ones(9), atol=1e-13)
+        rhs = make_rhs(advection_problem(lambda t: -1.0 - t, domain=(-1.0, 1.0)), ops)
+        assert np.allclose(rhs(ops.nodes.copy(), 0.0), -np.ones(9), atol=1e-13)
 
     @pytest.mark.parametrize("n", [6, 20])
     def test_polynomial_exactness(self, n):
@@ -106,30 +93,22 @@ class TestConservativeRhs:
         ops = build_operators(n)
         problem = advection_problem(lambda t, p=p: float(p(0.0)), domain=(0.0, 1.0))
         x = problem.physical_nodes(ops.nodes)
-        state = State(U=p(x), t=0.0, N=n, problem=problem)
-        assert np.max(np.abs(rhs_conservative(state, ops) + dp(x))) <= 1e-11
-
-    def test_wrong_kind_rejected(self):
-        ops = build_operators(4)
-        state = State(U=np.zeros(5), t=0.0, N=4, problem=varspeed_problem())
-        with pytest.raises(ValueError):
-            rhs_conservative(state, ops)
+        assert np.max(np.abs(make_rhs(problem, ops)(p(x), 0.0) + dp(x))) <= 1e-11
 
 
 class TestSkewRhs:
     def test_constant_is_steady(self):
         ops = build_operators(10)
-        state = State(U=np.full(11, 0.7), t=0.0, N=10, problem=burgers_problem("burgers_skew"))
-        assert np.max(np.abs(rhs_burgers_skew(state, ops))) <= 1e-13
+        rhs = make_rhs(burgers_problem("burgers_skew"), ops)
+        assert np.max(np.abs(rhs(np.full(11, 0.7), 0.0))) <= 1e-13
 
     def test_single_mode_volume_identity(self):
         # u = xi: (2/3) d(u^2/2) + (1/3) u u' = xi, so the volume part of the
         # rhs is -xi; subtract the (shared) surface term to isolate it
         ops = build_operators(6)
-        problem = ProblemSpec(pde="burgers_skew", domain=(-1.0, 1.0), bc="periodic")
+        problem = ProblemSpec(pde="burgers_skew", domain=(-1.0, 1.0))
         u = ops.nodes.copy()
-        state = State(U=u, t=0.0, N=6, problem=problem)
-        full = rhs_burgers_skew(state, ops)
+        full = make_rhs(problem, ops)(u, 0.0)
         f = 0.5 * u * u
         fstar = llf_flux(u[-1], u[0], "burgers")
         surface = np.zeros(7)
@@ -142,12 +121,12 @@ class TestSkewRhs:
         n = 24
         ops = build_operators(n)
         problem = burgers_problem("burgers_skew")
+        rhs = make_rhs(problem, ops)
         rng = np.random.default_rng(42)
         for _ in range(100):
             coeffs = rng.normal(size=n + 1) * np.exp(-0.25 * np.arange(n + 1))
             u = ops.V @ coeffs
-            state = State(U=u, t=0.0, N=n, problem=problem)
-            rate = (problem.dx / 2.0) * float(u @ ops.M @ rhs_burgers_skew(state, ops))
+            rate = (problem.dx / 2.0) * float(np.sum(ops.weights * u * rhs(u, 0.0)))
             assert rate <= 1e-10
 
 
@@ -159,34 +138,27 @@ class TestVariableSpeedRhs:
     def test_reduces_to_conservative_for_constant_data(self):
         ops = build_operators(10)
         problem = ProblemSpec(pde="advection_variable", domain=(0.0, 1.0),
-                              bc="inflow_dirichlet",
                               wave_speed_fn=lambda x: np.full_like(x, 2.0),
                               inflow=lambda t: 0.6)
-        state = State(U=np.full(11, 0.6), t=0.0, N=10, problem=problem)
-        dudt = rhs_variable_advection(state, ops)
+        dudt = make_rhs(problem, ops)(np.full(11, 0.6), 0.0)
 
-        cons = advection_problem(lambda t: 0.6, a=2.0)
-        state_c = State(U=np.full(11, 0.6), t=0.0, N=10, problem=cons)
-        assert np.allclose(dudt, rhs_conservative(state_c, ops), atol=1e-12)
+        cons = make_rhs(advection_problem(lambda t: 0.6, a=2.0), ops)
+        assert np.allclose(dudt, cons(np.full(11, 0.6), 0.0), atol=1e-12)
 
     def test_constant_state_with_matching_data_is_steady(self):
         ops = build_operators(12)
         problem = ProblemSpec(pde="advection_variable", domain=(-1.0, 1.0),
-                              bc="inflow_dirichlet",
                               wave_speed_fn=varspeed_wave_speed,
                               inflow=lambda t: 0.9)
-        state = State(U=np.full(13, 0.9), t=0.0, N=12, problem=problem)
-        assert np.max(np.abs(rhs_variable_advection(state, ops))) <= 1e-13
+        assert np.max(np.abs(make_rhs(problem, ops)(np.full(13, 0.9), 0.0))) <= 1e-13
 
     def test_rejects_negative_inflow_speed(self):
         ops = build_operators(6)
         problem = ProblemSpec(pde="advection_variable", domain=(-1.0, 1.0),
-                              bc="inflow_dirichlet",
                               wave_speed_fn=lambda x: x,  # negative at x = -1
                               inflow=lambda t: 0.0)
-        state = State(U=np.zeros(7), t=0.0, N=6, problem=problem)
         with pytest.raises(ValueError):
-            rhs_variable_advection(state, ops)
+            make_rhs(problem, ops)
 
     @pytest.mark.parametrize("n,tol", [(8, 1e-2), (16, 1e-8), (32, 1e-9)])
     def test_matches_time_derivative_of_exact_solution(self, n, tol):
@@ -194,8 +166,7 @@ class TestVariableSpeedRhs:
         ops = build_operators(n)
         problem = varspeed_problem()
         x = problem.physical_nodes(ops.nodes)
-        state = State(U=varspeed_exact(x, 0.0), t=0.0, N=n, problem=problem)
-        dudt = rhs_variable_advection(state, ops)
+        dudt = make_rhs(problem, ops)(varspeed_exact(x, 0.0), 0.0)
         h = 1e-5
         ut = (varspeed_exact(x, h) - varspeed_exact(x, -h)) / (2.0 * h)
         assert np.max(np.abs(dudt - ut)) <= tol
@@ -206,24 +177,24 @@ class TestVariableSpeedRhs:
         for n in (8, 16):
             ops = build_operators(n)
             x = problem.physical_nodes(ops.nodes)
-            state = State(U=varspeed_exact(x, 0.0), t=0.0, N=n, problem=problem)
+            dudt = make_rhs(problem, ops)(varspeed_exact(x, 0.0), 0.0)
             h = 1e-5
             ut = (varspeed_exact(x, h) - varspeed_exact(x, -h)) / (2.0 * h)
-            errs.append(np.max(np.abs(rhs_variable_advection(state, ops) - ut)))
+            errs.append(np.max(np.abs(dudt - ut)))
         assert errs[1] < errs[0] / 1e3
 
 
 class TestEnergy:
     def test_unit_constant(self):
         ops = build_operators(8)
-        state = State(U=np.ones(9), t=0.0, N=8, problem=burgers_problem())
-        assert energy(state, ops) == pytest.approx(1.0, abs=1e-14)
+        assert energy(burgers_problem(), ops, np.ones(9)) == pytest.approx(1.0, abs=1e-14)
 
     def test_cosine_initial_data_closed_form(self):
         # int over [0, 2] of (1 + cos(pi x))^2 / 50 dx = 3/50
         ops = build_operators(128)
-        state = initial_state(burgers_problem(), ops, burgers_initial)
-        assert energy(state, ops) == pytest.approx(0.06, abs=1e-10)
+        problem = burgers_problem()
+        u0 = burgers_initial(problem.physical_nodes(ops.nodes))
+        assert energy(problem, ops, u0) == pytest.approx(0.06, abs=1e-10)
 
     def test_filtering_never_adds_energy(self):
         ops = build_operators(20)
@@ -232,21 +203,12 @@ class TestEnergy:
         rng = np.random.default_rng(11)
         for _ in range(50):
             u = rng.uniform(-1, 1, 21)
-            before = energy(State(U=u, t=0.0, N=20, problem=problem), ops)
-            after = energy(State(U=fm.F @ u, t=0.0, N=20, problem=problem), ops)
+            before = energy(problem, ops, u)
+            after = energy(problem, ops, fm.F @ u)
             assert after <= before * (1.0 + 1e-12)
 
 
 class TestMakeRhs:
-    def test_matches_state_api(self):
-        ops = build_operators(10)
-        problem = burgers_problem("burgers_skew")
-        rng = np.random.default_rng(5)
-        u = rng.uniform(-1, 1, 11)
-        rhs = make_rhs(problem, ops)
-        state = State(U=u, t=0.0, N=10, problem=problem)
-        assert np.array_equal(rhs(u, 0.0), rhs_burgers_skew(state, ops))
-
     def test_nonfinite_states_propagate(self):
         # NaNs flow through so the time-loop driver can flag the crash
         ops = build_operators(6)

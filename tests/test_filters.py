@@ -21,13 +21,13 @@ from dgfilter.filters import (
 from dgfilter.operators import build_operators, legendre_normalized
 
 
-def trapezoid_mass(nodes):
+def trapezoid_weights(nodes):
     """Composite trapezoid weights on the (non-uniform) node set."""
     w = np.empty(nodes.size)
     w[0] = 0.5 * (nodes[1] - nodes[0])
     w[-1] = 0.5 * (nodes[-1] - nodes[-2])
     w[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
-    return np.diag(w)
+    return w
 
 
 class TestFilterSpec:
@@ -90,16 +90,6 @@ class TestCutoffMatrix:
         sig = np.diag(cutoff_matrix(12, spec))
         assert np.all(sig >= 0.0) and np.all(sig <= 1.0)
 
-    def test_custom_profile_hook(self):
-        spec = FilterSpec(sigma_fn=lambda i, n: 1.0 / (1.0 + i))
-        sig = np.diag(cutoff_matrix(4, spec))
-        assert np.allclose(sig, [1.0, 0.5, 1.0 / 3.0, 0.25, 0.0])
-
-    def test_custom_profile_out_of_range_rejected(self):
-        spec = FilterSpec(sigma_fn=lambda i, n: 1.5)
-        with pytest.raises(ValueError):
-            cutoff_matrix(4, spec)
-
 
 class TestFilterMatrix:
     def test_identity_cutoff(self):
@@ -143,45 +133,60 @@ class TestAuxiliaryFilter:
         ops = build_operators(n)
         fm = build_filter(ops, FilterSpec(s=s))
         tol = 1e-10 * np.max(np.abs(fm.F))
-        assert np.max(np.abs(fm.G - fm.F)) <= tol
+        assert np.max(np.abs(auxiliary_filter(ops.weights, fm.F) - fm.F)) <= tol
 
     def test_identity_filter(self):
         ops = build_operators(6)
-        assert np.array_equal(auxiliary_filter(ops.M, np.eye(7)), np.eye(7))
+        assert np.array_equal(auxiliary_filter(ops.weights, np.eye(7)), np.eye(7))
 
     def test_non_lgl_mass_breaks_identity(self):
         # negative control: with trapezoid weights the adjoint differs
         ops = build_operators(16)
         fm = build_filter(ops, FilterSpec())
-        g = auxiliary_filter(trapezoid_mass(ops.nodes), fm.F)
+        g = auxiliary_filter(trapezoid_weights(ops.nodes), fm.F)
         assert np.max(np.abs(g - fm.F)) > 1e-3
 
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError):
-            auxiliary_filter(np.diag([1.0, 0.0, 1.0]), np.eye(3))
+            auxiliary_filter(np.array([1.0, 0.0, 1.0]), np.eye(3))
 
 
 class TestQuadratureGram:
+    @pytest.mark.parametrize("n", [7, 63, 128])
+    def test_matches_dense_definition(self, n):
+        ops = build_operators(n)
+        dense = ops.V.T @ np.diag(ops.weights) @ ops.V
+        assert np.allclose(quadrature_gram(ops.V, ops.weights), dense, rtol=0.0, atol=1e-14)
+
     def test_degree_four_pattern(self):
         ops = build_operators(4)
-        k = quadrature_gram(ops.V, ops.M)
+        k = quadrature_gram(ops.V, ops.weights)
         assert np.allclose(np.diag(k), [1, 1, 1, 1, 2.25], atol=1e-13)
 
     def test_degree_sixteen_last_entry(self):
         ops = build_operators(16)
-        k = quadrature_gram(ops.V, ops.M)
+        k = quadrature_gram(ops.V, ops.weights)
         assert k[16, 16] == pytest.approx(2.0 + 1.0 / 16.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 8, 32, 64])
     def test_offdiagonal_small(self, n):
         ops = build_operators(n)
-        assert gram_offdiag_max(quadrature_gram(ops.V, ops.M)) <= 1e-12
+        assert gram_offdiag_max(quadrature_gram(ops.V, ops.weights)) <= 1e-12
 
 
 class TestContractivity:
+    @pytest.mark.parametrize("n", [7, 63, 128])
+    def test_matches_dense_definition(self, n):
+        ops = build_operators(n)
+        fmat = build_filter(ops, FilterSpec()).F
+        mass = np.diag(ops.weights)
+        dense = fmat.T @ mass @ fmat - mass
+        lam = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+        assert np.allclose(contractivity_spectrum(fmat, ops.weights), lam, rtol=0.0, atol=1e-14)
+
     def test_identity_filter_spectrum_is_zero(self):
         ops = build_operators(10)
-        lam = contractivity_spectrum(np.eye(11), ops.M)
+        lam = contractivity_spectrum(np.eye(11), ops.weights)
         assert np.max(np.abs(lam)) <= 1e-15
 
     @pytest.mark.parametrize("n", [4, 24, 64])
@@ -189,7 +194,7 @@ class TestContractivity:
     def test_clipped_filter_never_amplifies(self, n, s):
         ops = build_operators(n)
         fm = build_filter(ops, FilterSpec(s=s))
-        lam = contractivity_spectrum(fm.F, ops.M)
+        lam = contractivity_spectrum(fm.F, ops.weights)
         assert lam[-1] <= 1e-12 * np.max(ops.weights)
 
     @pytest.mark.parametrize("n", [8, 24])
@@ -198,7 +203,7 @@ class TestContractivity:
         # diagonal entry, so the spectrum stays non-positive in practice
         ops = build_operators(n)
         fm = build_filter(ops, FilterSpec(clip_highest=False))
-        lam = contractivity_spectrum(fm.F, ops.M)
+        lam = contractivity_spectrum(fm.F, ops.weights)
         assert lam[-1] <= 1e-12 * np.max(ops.weights)
 
     def test_mismatched_mass_is_indefinite(self):
@@ -207,21 +212,21 @@ class TestContractivity:
         fm = build_filter(ops, FilterSpec())
         w = ops.weights.copy()
         w[-1] *= 0.5
-        lam = contractivity_spectrum(fm.F, np.diag(w))
+        lam = contractivity_spectrum(fm.F, w)
         assert lam[0] < -1e-8 and lam[-1] > 1e-8
 
     def test_unaffected_mode_keeps_norm(self):
         ops = build_operators(12)
         fm = build_filter(ops, FilterSpec())
         mode = legendre_normalized(0, ops.nodes)
-        filtered, original = contraction_check(fm.F, ops.M, mode)
+        filtered, original = contraction_check(fm.F, ops.weights, mode)
         assert filtered == pytest.approx(original, rel=1e-13)
 
     def test_clipped_mode_is_removed(self):
         ops = build_operators(12)
         fm = build_filter(ops, FilterSpec())
         mode = legendre_normalized(12, ops.nodes)
-        filtered, _ = contraction_check(fm.F, ops.M, mode)
+        filtered, _ = contraction_check(fm.F, ops.weights, mode)
         assert filtered <= 1e-12
 
     @pytest.mark.parametrize("n", [8, 24])
@@ -231,7 +236,7 @@ class TestContractivity:
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             u = rng.uniform(-1.0, 1.0, n + 1)
-            filtered, original = contraction_check(fm.F, ops.M, u)
+            filtered, original = contraction_check(fm.F, ops.weights, u)
             assert filtered <= original * (1.0 + 1e-12)
 
 

@@ -1,5 +1,7 @@
 """Tests for the LGL collocation operators: nodes, weights, D, V, inner products."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -160,15 +162,19 @@ class TestInnerProducts:
         val = discrete_norm(legendre_normalized(n, nodes), weights) ** 2
         assert val == pytest.approx(2.0 + 1.0 / n, rel=1e-12)
 
-    def test_accepts_matrix_or_weights(self):
-        ops = build_operators(5)
-        u = np.linspace(0, 1, 6)
-        assert discrete_inner(u, u, ops.M) == discrete_inner(u, u, ops.weights)
-
 
 class TestSbp:
     def test_degree_one_exact(self):
         assert sbp_residual(build_operators(1)) == 0.0
+
+    @pytest.mark.parametrize("n", [7, 63, 128, 397])
+    def test_matches_dense_definition(self, n):
+        # row scaling by the weights reproduces M D with the dense mass matrix
+        ops = build_operators(n, check=False)
+        md = np.diag(ops.weights) @ ops.D
+        bmat = np.zeros((n + 1, n + 1))
+        bmat[0, 0], bmat[n, n] = -1.0, 1.0
+        assert sbp_residual(ops) == float(np.max(np.abs(md + md.T - bmat)))
 
     @pytest.mark.parametrize("n", list(range(1, 65)))
     def test_residual_sweep(self, n):
@@ -180,15 +186,13 @@ class TestSbp:
         ops = build_operators(1)
         d_bad = ops.D.copy()
         d_bad[0, 0] += 1e-3
-        md = ops.M @ d_bad
-        assert np.max(np.abs(md + md.T - ops.B)) >= 1e-3
+        assert sbp_residual(replace(ops, D=d_bad)) >= 1e-3
 
     def test_perturbation_scales_with_weight(self):
         ops = build_operators(16)
         d_bad = ops.D.copy()
         d_bad[0, 0] += 1e-3
-        md = ops.M @ d_bad
-        assert np.max(np.abs(md + md.T - ops.B)) >= 2.0 * ops.weights[0] * 1e-3 * 0.999
+        assert sbp_residual(replace(ops, D=d_bad)) >= 2.0 * ops.weights[0] * 1e-3 * 0.999
 
 
 class TestInterpolation:
