@@ -8,10 +8,8 @@ from .filters import (
     build_filter,
     contraction_check,
     contractivity_spectrum,
-    cutoff_matrix,
-    filter_matrix,
+    cutoff_profile,
     quadrature_gram,
-    sigma_exponential,
     verify_filter,
 )
 from .operators import (

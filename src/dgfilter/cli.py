@@ -17,6 +17,7 @@ written (``OSError``) is a usage error: one line on stderr, no traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -163,9 +164,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Fail before a study runs if its CSV cannot be created."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise OSError(f"cannot write {path}: {parent} is not a writable directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"dgfilter: error: {exc}", file=sys.stderr)

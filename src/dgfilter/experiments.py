@@ -10,6 +10,7 @@ byte-identical output.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -109,7 +110,6 @@ class ExperimentRecord:
     experiment: str
     variant: str
     rows: list = field(default_factory=list)
-    crash_time: Optional[float] = None
     wall_time: float = 0.0
 
     def add(self, n: int, dt: float, t_or_n: float, value: float, extra: str = ""):
@@ -137,6 +137,22 @@ def write_csv(path, records: Sequence[ExperimentRecord]) -> None:
 # drivers
 # ---------------------------------------------------------------------------
 
+def _run_linear(problem: ProblemSpec, n: int, u0_fn, exact_fn, config: RunConfig,
+                filter_spec: Optional[FilterSpec]):
+    """One fixed-step linear advection run at degree ``n``.
+
+    Builds the operators, the filter (applied after every step unless
+    ``filter_spec`` is None) and the RHS, integrates ``u0_fn(x)`` and
+    returns (x, trajectory, max-norm error against ``exact_fn(x, t_final)``).
+    """
+    ops = build_operators(n)
+    schedule = None if filter_spec is None else FilterSchedule(build_filter(ops, filter_spec).F)
+    x = problem.physical_nodes(ops.nodes)
+    traj = integrate(u0_fn(x), make_rhs(problem, ops), config, schedule=schedule)
+    err = error_linf(traj.u_final, lambda xx: exact_fn(xx, config.t_final), x)
+    return x, traj, err
+
+
 @dataclass
 class ConvergenceResult:
     ns: list
@@ -154,27 +170,17 @@ def run_convergence(n_list: Sequence[int], dt: float,
     """
     if not all(7 <= n <= 64 for n in n_list):
         raise ValueError("convergence sweep degrees must lie in [7, 64]")
+    config = RunConfig(t_final=t_final, dt=dt, record_every=10**9)
     t_start = time.perf_counter()
     record = ExperimentRecord("convergence", filter_tag(filter_spec))
+    problem = ProblemSpec(
+        pde="advection_constant", domain=(0.0, 1.0), wave_speed=1.0,
+        inflow=lambda t: float(gaussian_pulse(0.0, t)),
+    )
     ns, errors = [], []
     for n in n_list:
-        problem = ProblemSpec(
-            pde="advection_constant", domain=(0.0, 1.0), wave_speed=1.0,
-            inflow=lambda t: float(gaussian_pulse(0.0, t)),
-        )
-        ops = build_operators(n)
-        schedule = FilterSchedule()
-        if filter_spec is not None:
-            schedule = FilterSchedule(mode="every_step",
-                                      matrices=build_filter(ops, filter_spec))
-        x = problem.physical_nodes(ops.nodes)
-        traj = integrate(
-            np.asarray(gaussian_pulse(x, 0.0), dtype=float),
-            make_rhs(problem, ops),
-            RunConfig(t_final=t_final, dt=dt, record_every=10**9),
-            schedule=schedule,
-        )
-        err = error_linf(traj.u_final, lambda xx: gaussian_pulse(xx, t_final), x)
+        _, _, err = _run_linear(problem, n, lambda xx: gaussian_pulse(xx, 0.0), gaussian_pulse,
+                                config, filter_spec)
         ns.append(n)
         errors.append(err)
         record.add(n, dt, n, err, "linf_error")
@@ -201,25 +207,15 @@ def run_varspeed(n: int = 256, dt: float = 1.0 / 2000.0, filtered: bool = True,
     nodal profile, the max-norm error against the closed-form solution and
     the total variation of the nodal values.
     """
+    config = RunConfig(t_final=t_final, dt=dt, record_every=10**9)
     t_start = time.perf_counter()
     problem = ProblemSpec(
         pde="advection_variable", domain=(-1.0, 1.0), wave_speed_fn=varspeed_wave_speed,
         inflow=lambda t: float(varspeed_exact(-1.0, t)),
     )
-    ops = build_operators(n)
     spec = filter_spec if filtered else None
-    schedule = FilterSchedule()
-    if filtered:
-        schedule = FilterSchedule(mode="every_step",
-                                  matrices=build_filter(ops, filter_spec))
-    x = problem.physical_nodes(ops.nodes)
-    traj = integrate(
-        np.sin(np.pi * x),
-        make_rhs(problem, ops),
-        RunConfig(t_final=t_final, dt=dt, record_every=10**9),
-        schedule=schedule,
-    )
-    err = error_linf(traj.u_final, lambda xx: varspeed_exact(xx, t_final), x)
+    x, traj, err = _run_linear(problem, n, lambda xx: np.sin(np.pi * xx), varspeed_exact,
+                               config, spec)
     tv = total_variation(traj.u_final)
 
     record = ExperimentRecord("varspeed", filter_tag(spec))
@@ -254,6 +250,9 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
     """
     if variant not in BURGERS_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if not (math.isfinite(cfl) and cfl > 0):
+        raise ValueError("cfl must be positive and finite")
+    config = RunConfig(t_final=t_final, record_every=record_every)
     t_start = time.perf_counter()
     pde = "burgers_conservative" if variant.startswith("cons") else "burgers_skew"
     filtered = variant.endswith("_filtered")
@@ -261,18 +260,24 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
     ops = build_operators(n)
     x = problem.physical_nodes(ops.nodes)
 
+    # The crash check, the observer and norm_fn all ask for the energy of the
+    # same state; integrate never changes a state in place, so the energy is
+    # kept for the last array seen, which stays referenced here.
+    last_u, last_e = None, 0.0
+
     def phys_energy(u):
-        return 0.5 * (problem.dx / 2.0) * float(np.sum(ops.weights * u * u))
+        nonlocal last_u, last_e
+        if u is not last_u:
+            last_u, last_e = u, 0.5 * (problem.dx / 2.0) * float(np.sum(ops.weights * u * u))
+        return last_e
 
     u0 = burgers_initial(x)
     e0 = phys_energy(u0)
 
-    schedule = FilterSchedule()
+    schedule = None
     if filtered:
         times = tuple(t_final * (k + 1) / filter_count for k in range(filter_count))
-        schedule = FilterSchedule(mode="at_times",
-                                  matrices=build_filter(ops, filter_spec),
-                                  times=times)
+        schedule = FilterSchedule(build_filter(ops, filter_spec).F, times=times)
 
     h_min = min_node_spacing(ops, problem)
 
@@ -288,7 +293,7 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
     traj = integrate(
         u0,
         make_rhs(problem, ops),
-        RunConfig(t_final=t_final, cfl=cfl, record_every=record_every),
+        config,
         schedule=schedule,
         observers={"energy": lambda t, u: phys_energy(u) / e0},
         norm_fn=phys_energy,
@@ -297,7 +302,7 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
     )
 
     tag = variant if not filtered else f"{variant}:{filter_tag(filter_spec).split(':', 1)[1]}"
-    record = ExperimentRecord("burgers", tag, crash_time=traj.crash_time)
+    record = ExperimentRecord("burgers", tag)
     for t, e in zip(traj.times, traj.series["energy"]):
         record.add(n, cfl, t, e, "energy")
     if traj.crashed:

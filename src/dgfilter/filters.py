@@ -9,6 +9,7 @@ measure directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class FilterSpec:
     clip_highest: bool = True
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be positive and finite")
         if self.s <= 0 or self.s % 2 != 0:
             raise ValueError("filter order s must be a positive even integer")
         if self.nc < 0:
@@ -42,56 +43,31 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class FilterMatrices:
-    """Cutoff and filter matrices for one degree: what a run applies.
+    """The nodal filter for one degree: what a run applies.
 
-    C: diagonal modal cutoff; F: nodal filter V C Vinv. The adjoint filter
-    and the Gram matrix are verification quantities, formed only by
-    :func:`verify_filter`. Immutable after construction.
+    F = V diag(sigma) Vinv. The adjoint filter and the Gram matrix are
+    verification quantities, formed only by :func:`verify_filter`.
+    Immutable after construction.
     """
 
     spec: FilterSpec
-    C: np.ndarray
     F: np.ndarray
 
 
-def sigma_exponential(i: int, n: int, spec: FilterSpec) -> float:
-    """Damping factor of mode ``i`` at degree ``n`` for the exponential profile."""
-    if not 0 <= i <= n:
-        raise ValueError(f"mode index {i} outside 0..{n}")
-    if spec.nc > n:
-        raise ValueError(f"unaffected-mode count {spec.nc} exceeds degree {n}")
-    if spec.clip_highest and i == n:
-        return 0.0
-    if i <= spec.nc - 1:
-        return 1.0
-    eta = (i + 1 - spec.nc) / (n + 1 - spec.nc)
-    return float(np.exp(-spec.alpha * eta**spec.s))
+def cutoff_profile(n: int, spec: FilterSpec) -> np.ndarray:
+    """Modal damping factors sigma_0..sigma_n of the exponential profile.
 
-
-def cutoff_matrix(n: int, spec: FilterSpec) -> np.ndarray:
-    """Diagonal modal cutoff matrix diag(sigma_0, ..., sigma_n).
-
-    With ``nc > n`` every mode falls in the unaffected branch and the
-    matrix is the identity (modulo clipping). Validates that all
-    coefficients lie in [0, 1] and, when at least one mode is unaffected,
-    that sigma_0 is exactly 1.
+    The first ``nc`` modes keep sigma = 1 (every mode when ``nc > n``); mode
+    i >= nc gets exp(-alpha eta^s) with eta = (i + 1 - nc) / (n + 1 - nc).
+    Clipping then sets sigma_n = 0. ``float_power`` rounds the power like
+    the scalar ``eta ** s``, where the array ``**`` does not.
     """
-    if spec.nc > n:
-        sig = np.ones(n + 1)
-        if spec.clip_highest:
-            sig[n] = 0.0
-    else:
-        sig = np.array([sigma_exponential(i, n, spec) for i in range(n + 1)])
-    if np.any(sig < 0.0) or np.any(sig > 1.0):
-        raise ValueError("cutoff coefficients must lie in [0, 1]")
-    if spec.nc >= 1 and sig[0] != 1.0:
-        raise ValueError("sigma_0 must equal 1 when low modes are unaffected")
-    return np.diag(sig)
-
-
-def filter_matrix(vmat: np.ndarray, vinv: np.ndarray, cmat: np.ndarray) -> np.ndarray:
-    """Nodal filter F = V C Vinv; eigenpairs are (sigma_j, nodal mode j)."""
-    return vmat @ cmat @ vinv
+    sig = np.ones(n + 1)
+    eta = np.arange(1, n + 2 - spec.nc) / (n + 1 - spec.nc)
+    sig[spec.nc:] = np.exp(-spec.alpha * np.float_power(eta, spec.s))
+    if spec.clip_highest:
+        sig[n] = 0.0
+    return sig
 
 
 def auxiliary_filter(w: np.ndarray, fmat: np.ndarray) -> np.ndarray:
@@ -148,9 +124,12 @@ def contraction_check(fmat: np.ndarray, w: np.ndarray, u: np.ndarray) -> tuple[f
 
 
 def build_filter(ops: OperatorSet, spec: FilterSpec) -> FilterMatrices:
-    """Assemble the cutoff and filter matrices for one operator set."""
-    cmat = cutoff_matrix(ops.N, spec)
-    return FilterMatrices(spec=spec, C=cmat, F=filter_matrix(ops.V, ops.Vinv, cmat))
+    """Assemble the nodal filter F = V diag(sigma) Vinv for one operator set.
+
+    Its eigenpairs are (sigma_j, nodal values of mode j).
+    """
+    sig = cutoff_profile(ops.N, spec)
+    return FilterMatrices(spec=spec, F=(ops.V * sig) @ ops.Vinv)
 
 
 @dataclass(frozen=True)

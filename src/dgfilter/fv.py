@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,8 +27,8 @@ class FvConfig:
             raise ValueError("forward Euler needs cfl in (0, 0.95]")
         if self.domain[1] <= self.domain[0]:
             raise ValueError("domain must satisfy x_L < x_R")
-        if self.t_final <= 0:
-            raise ValueError("final time must be positive")
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError("final time must be positive and finite")
 
     @property
     def dx(self) -> float:

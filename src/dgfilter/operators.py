@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Degree cap: keeps the Newton solve, barycentric products and Vandermonde
+# Degree cap: keeps the Newton solve, barycentric weights and Vandermonde
 # inversion comfortably inside double-precision conditioning.
 MAX_DEGREE = 512
 
@@ -117,8 +117,19 @@ def _legendre_table(n: int, x: np.ndarray) -> np.ndarray:
     return tab * np.sqrt(np.arange(n + 1) + 0.5)
 
 
+def _lgl_barycentric_weights(x: np.ndarray) -> np.ndarray:
+    """Barycentric weights of the LGL nodes ``x``, up to a common factor.
+
+    The node polynomial is c (1 - x^2) P_N'(x), and by Legendre's equation
+    its derivative at a node is -c N (N + 1) P_N(x_j). So the weights
+    1 / prod_k (x_j - x_k) are proportional to 1 / P_N(x_j), which avoids
+    the roundoff that the N-factor products gather at high degree.
+    """
+    return 1.0 / _legendre_pair(x.size - 1, x)[0]
+
+
 def derivative_matrix(nodes: np.ndarray) -> np.ndarray:
-    """Nodal differentiation matrix via barycentric weights.
+    """Nodal differentiation matrix at the LGL nodes via barycentric weights.
 
     Entry (i, j) is the derivative of the j-th Lagrange cardinal polynomial
     at node i. Diagonal entries use the negative-sum trick, which pins the
@@ -131,7 +142,7 @@ def derivative_matrix(nodes: np.ndarray) -> np.ndarray:
     if np.any(diff[off] == 0.0):
         raise ValueError("duplicate nodes")
     np.fill_diagonal(diff, 1.0)
-    w = 1.0 / np.prod(diff, axis=1)
+    w = _lgl_barycentric_weights(x)
     dmat = (w[None, :] / w[:, None]) / diff
     np.fill_diagonal(dmat, 0.0)
     np.fill_diagonal(dmat, -np.sum(dmat, axis=1))
@@ -165,16 +176,14 @@ def vandermonde(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def interpolation_matrix(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Matrix evaluating the nodal interpolant at arbitrary target points.
+    """Matrix evaluating the nodal interpolant on the LGL ``nodes`` at arbitrary points.
 
     Second-form barycentric interpolation; target points that coincide with
     a node reproduce the nodal value exactly.
     """
     x = np.asarray(nodes, dtype=float)
     xt = np.asarray(targets, dtype=float)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    w = 1.0 / np.prod(diff, axis=1)
+    w = _lgl_barycentric_weights(x)
 
     dist = xt[:, None] - x[None, :]
     hit = dist == 0.0

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from .filters import FilterMatrices
 
 # Williamson-style 3-stage low-storage coefficients; third order is verified
 # empirically by the order-of-accuracy tests.
@@ -15,23 +14,16 @@ RK3_A = (0.0, -5.0 / 9.0, -153.0 / 128.0)
 RK3_B = (1.0 / 3.0, 15.0 / 16.0, 8.0 / 15.0)
 RK3_C = (0.0, 1.0 / 3.0, 3.0 / 4.0)
 
-FILTER_MODES = ("none", "every_step", "at_times")
-
 
 @dataclass(frozen=True)
 class FilterSchedule:
-    """When to apply the nodal filter during a run."""
+    """Apply the nodal filter ``F`` after every step, or at ``times`` when given."""
 
-    mode: str = "none"
-    matrices: Optional[FilterMatrices] = None
-    times: tuple[float, ...] = ()
+    F: np.ndarray
+    times: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.mode not in FILTER_MODES:
-            raise ValueError(f"unknown filter mode {self.mode!r}")
-        if self.mode != "none" and self.matrices is None:
-            raise ValueError("filter matrices required unless mode is 'none'")
-        if self.mode == "at_times":
+        if self.times is not None:
             ts = np.asarray(self.times, dtype=float)
             if ts.size == 0 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
                 raise ValueError("filter times must be strictly increasing and positive")
@@ -39,22 +31,20 @@ class FilterSchedule:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Horizon and step-size policy; exactly one of dt / cfl must be set."""
+    """Horizon, fixed step size and recording cadence.
+
+    With ``dt`` unset, :func:`integrate` asks its ``dt_fn`` for every step.
+    """
 
     t_final: float
     dt: Optional[float] = None
-    cfl: Optional[float] = None
     record_every: int = 1
 
     def __post_init__(self):
-        if self.t_final <= 0:
-            raise ValueError("final time must be positive")
-        if (self.dt is None) == (self.cfl is None):
-            raise ValueError("set exactly one of dt and cfl")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.cfl is not None and self.cfl <= 0:
-            raise ValueError("cfl must be positive")
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError("final time must be positive and finite")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -99,24 +89,25 @@ def integrate(
 ) -> Trajectory:
     """Advance ``u0`` to ``config.t_final``, filtering per ``schedule``.
 
-    Steps land exactly on the final time (the last step is truncated). With
-    ``config.cfl`` set, ``dt_fn`` must map the current state to a step size.
-    Scheduled filter times snap to the first step boundary at or beyond
-    them; ``norm_fn`` (when given) is evaluated before and after every
-    filter application and recorded as a filter event. A crash detected by
-    ``crash_check`` (default: any non-finite entry) truncates the run and
-    records the crash time.
+    Steps land exactly on the final time (the last step is truncated). The
+    step size is ``config.dt`` or, when that is unset, ``dt_fn`` of the
+    current state; exactly one of the two must be given. Without a
+    ``schedule`` nothing is filtered. Scheduled filter times snap to the
+    first step boundary at or beyond them; ``norm_fn`` (when given) is
+    evaluated before and after every filter application and recorded as a
+    filter event. A crash detected by ``crash_check`` (default: any
+    non-finite entry) truncates the run and records the crash time.
     """
-    schedule = schedule or FilterSchedule()
     observers = observers or {}
     if crash_check is None:
         crash_check = _default_crash_check
-    if config.cfl is not None and dt_fn is None:
-        raise ValueError("cfl stepping needs dt_fn")
-    if schedule.mode == "at_times" and schedule.times[-1] > t0 + config.t_final + 1e-12:
+    if (config.dt is None) == (dt_fn is None):
+        raise ValueError("set exactly one of config.dt and dt_fn")
+    fmat = schedule.F if schedule is not None else None
+    every_step = schedule is not None and schedule.times is None
+    filter_times = () if schedule is None or every_step else schedule.times
+    if filter_times and filter_times[-1] > t0 + config.t_final + 1e-12:
         raise ValueError("scheduled filter times must lie within the horizon")
-
-    fmat = schedule.matrices.F if schedule.matrices is not None else None
 
     u = np.array(u0, dtype=float, copy=True)
     t = t0
@@ -157,13 +148,11 @@ def integrate(
             record(t, u)
             break
 
-        if schedule.mode == "every_step":
+        if every_step:
             u = apply_filter(t, u)
-        elif schedule.mode == "at_times":
-            while (next_time_idx < len(schedule.times)
-                   and t >= schedule.times[next_time_idx] - eps):
-                u = apply_filter(t, u)
-                next_time_idx += 1
+        while next_time_idx < len(filter_times) and t >= filter_times[next_time_idx] - eps:
+            u = apply_filter(t, u)
+            next_time_idx += 1
 
         if step % config.record_every == 0 or t >= t_end - eps:
             record(t, u)

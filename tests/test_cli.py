@@ -2,6 +2,7 @@
 
 import pytest
 
+from dgfilter import experiments, operators
 from dgfilter.cli import _parse_n_list, main
 from dgfilter.experiments import CSV_HEADER
 
@@ -56,17 +57,45 @@ class TestExitCodes:
                      id="convergence-low-degrees"),
         pytest.param(["fv-reference", "--cells", "100", "--out", "{tmp}/missing/f.csv"],
                      id="unwritable-out"),
+        pytest.param(["burgers", "--variant", "skew_unfiltered", "--cfl", "nan",
+                      "--out", "{tmp}/b.csv"], id="burgers-nan-cfl"),
+        pytest.param(["convergence", "--n-list", "7,9", "--dt", "nan", "--out", "{tmp}/c.csv"],
+                     id="convergence-nan-dt"),
+        pytest.param(["varspeed", "--n", "16", "--dt", "inf", "--out", "{tmp}/v.csv"],
+                     id="varspeed-inf-dt"),
+        pytest.param(["filter", "verify", "--n", "8", "--alpha", "nan"], id="filter-nan-alpha"),
     ])
-    def test_rejected_input_is_exit_two_with_one_line(self, argv, tmp_path, capsys):
+    def test_rejected_input_is_exit_two_with_one_line(self, argv, tmp_path, capsys,
+                                                      monkeypatch):
+        # no rejected input reaches the FV reference solve, the one study
+        # among these that runs long enough to matter
+        def never_called(*args, **kwargs):
+            raise AssertionError("the FV driver ran on rejected input")
+
+        monkeypatch.setattr(experiments, "run_fv_reference", never_called)
         code = main([a.format(tmp=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("dgfilter: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_tolerance_failure_stays_exit_one(self, capsys):
-        # the SBP residual at N = 397 exceeds the printed tolerance
-        assert main(["ops", "check", "--n", "397"]) == 1
+    @pytest.mark.parametrize("n", [397, 440, 498, 504, 507])
+    def test_ops_check_passes_at_high_degree(self, n, capsys):
+        # product-form barycentric weights once pushed the SBP residual past
+        # the tolerance at these degrees
+        assert main(["ops", "check", "--n", str(n)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("ok")
+
+    def test_tolerance_failure_stays_exit_one(self, capsys, monkeypatch):
+        derivative_matrix = operators.derivative_matrix
+
+        def perturbed(nodes):
+            dmat = derivative_matrix(nodes)
+            dmat[0, 0] += 1e-9
+            return dmat
+
+        monkeypatch.setattr(operators, "derivative_matrix", perturbed)
+        assert main(["ops", "check", "--n", "16"]) == 1
         assert capsys.readouterr().out.rstrip().endswith("FAIL")
 
 

@@ -11,11 +11,9 @@ from dgfilter.filters import (
     build_filter,
     contraction_check,
     contractivity_spectrum,
-    cutoff_matrix,
-    filter_matrix,
+    cutoff_profile,
     gram_offdiag_max,
     quadrature_gram,
-    sigma_exponential,
     verify_filter,
 )
 from dgfilter.operators import build_operators, legendre_normalized
@@ -37,7 +35,8 @@ class TestFilterSpec:
         assert spec.clip_highest
 
     @pytest.mark.parametrize("bad", [dict(alpha=0.0), dict(alpha=-1.0),
-                                     dict(s=15), dict(s=0), dict(nc=-1)])
+                                     dict(s=15), dict(s=0), dict(nc=-1),
+                                     dict(alpha=math.nan), dict(alpha=math.inf)])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             FilterSpec(**bad)
@@ -45,62 +44,72 @@ class TestFilterSpec:
 
 class TestSigma:
     def test_unaffected_mode(self):
-        assert sigma_exponential(2, 10, FilterSpec(nc=4)) == 1.0
+        assert cutoff_profile(10, FilterSpec(nc=4))[2] == 1.0
 
     def test_last_mode_without_clipping(self):
         # the exponent ratio is exactly 1 at i = n, leaving exp(-alpha)
-        val = sigma_exponential(12, 12, FilterSpec(clip_highest=False))
+        val = cutoff_profile(12, FilterSpec(clip_highest=False))[12]
         assert val == pytest.approx(math.exp(-36.0), rel=1e-15)
         assert val == pytest.approx(2.3195228302435696e-16, rel=1e-12)
 
     def test_last_mode_clipped(self):
-        assert sigma_exponential(12, 12, FilterSpec()) == 0.0
-
-    def test_rejects_nc_beyond_degree(self):
-        with pytest.raises(ValueError):
-            sigma_exponential(1, 3, FilterSpec(nc=5))
-
-    def test_rejects_mode_out_of_range(self):
-        with pytest.raises(ValueError):
-            sigma_exponential(11, 10, FilterSpec())
+        assert cutoff_profile(12, FilterSpec())[12] == 0.0
 
 
 class TestCutoffMatrix:
+    """The cutoff profile sigma: the diagonal of the modal cutoff matrix."""
+
     def test_all_modes_unaffected_gives_identity(self):
-        c = cutoff_matrix(7, FilterSpec(nc=8, clip_highest=False))
-        assert np.array_equal(c, np.eye(8))
+        sig = cutoff_profile(7, FilterSpec(nc=8, clip_highest=False))
+        assert np.array_equal(sig, np.ones(8))
 
     def test_clipping_beats_unaffected_count(self):
         # clipping zeroes the last mode even when nc covers every mode
-        c = np.diag(cutoff_matrix(7, FilterSpec(nc=8)))
-        assert np.array_equal(c, [1, 1, 1, 1, 1, 1, 1, 0])
+        assert np.array_equal(cutoff_profile(7, FilterSpec(nc=8)), [1, 1, 1, 1, 1, 1, 1, 0])
 
     def test_hand_evaluated_pattern(self):
-        c = np.diag(cutoff_matrix(7, FilterSpec(nc=4)))
+        sig = cutoff_profile(7, FilterSpec(nc=4))
         expected = np.array(
             [1.0, 1.0, 1.0, 1.0]
             + [math.exp(-36.0 * ((i - 3) / 4.0) ** 16) for i in (4, 5, 6)]
             + [0.0]
         )
-        assert np.allclose(c, expected, rtol=1e-15)
+        assert np.allclose(sig, expected, rtol=1e-15)
 
     @pytest.mark.parametrize("spec", [FilterSpec(), FilterSpec(s=32, nc=0),
                                       FilterSpec(alpha=10.0, clip_highest=False)])
     def test_range(self, spec):
-        sig = np.diag(cutoff_matrix(12, spec))
+        sig = cutoff_profile(12, spec)
         assert np.all(sig >= 0.0) and np.all(sig <= 1.0)
+
+    @pytest.mark.parametrize("spec", [FilterSpec(), FilterSpec(s=32, nc=0),
+                                      FilterSpec(alpha=10.0, clip_highest=False),
+                                      FilterSpec(nc=9, clip_highest=False)])
+    @pytest.mark.parametrize("n", [1, 7, 8, 63, 128])
+    def test_matches_scalar_formula(self, spec, n):
+        # bitwise against the per-mode scalar evaluation of the profile
+        ref = []
+        for i in range(n + 1):
+            if spec.clip_highest and i == n:
+                ref.append(0.0)
+            elif i < spec.nc:
+                ref.append(1.0)
+            else:
+                eta = (i + 1 - spec.nc) / (n + 1 - spec.nc)
+                ref.append(float(np.exp(-spec.alpha * eta**spec.s)))
+        assert np.array_equal(cutoff_profile(n, spec), ref)
 
 
 class TestFilterMatrix:
     def test_identity_cutoff(self):
         ops = build_operators(9)
-        f = filter_matrix(ops.V, ops.Vinv, np.eye(10))
+        f = build_filter(ops, FilterSpec(nc=10, clip_highest=False)).F
         assert np.max(np.abs(f - np.eye(10))) <= 1e-12
 
     def test_eigenstructure_per_mode(self):
         ops = build_operators(11)
         fm = build_filter(ops, FilterSpec())
-        sig = np.diag(fm.C)
+        sig = cutoff_profile(11, fm.spec)
         for j in range(12):
             mode = legendre_normalized(j, ops.nodes)
             assert np.allclose(fm.F @ mode, sig[j] * mode, atol=1e-10)
@@ -108,7 +117,7 @@ class TestFilterMatrix:
     def test_double_application_squares_cutoff(self):
         ops = build_operators(8)
         fm = build_filter(ops, FilterSpec())
-        f2 = filter_matrix(ops.V, ops.Vinv, fm.C @ fm.C)
+        f2 = (ops.V * cutoff_profile(8, fm.spec) ** 2) @ ops.Vinv
         rng = np.random.default_rng(3)
         u = rng.uniform(-1, 1, 9)
         assert np.allclose(fm.F @ (fm.F @ u), f2 @ u, atol=1e-12)
@@ -116,7 +125,15 @@ class TestFilterMatrix:
     def test_modal_similarity(self):
         ops = build_operators(16)
         fm = build_filter(ops, FilterSpec(s=32))
-        assert np.max(np.abs(ops.Vinv @ fm.F @ ops.V - fm.C)) <= 1e-10
+        sig = cutoff_profile(16, fm.spec)
+        assert np.max(np.abs(ops.Vinv @ fm.F @ ops.V - np.diag(sig))) <= 1e-10
+
+    def test_matches_dense_definition(self):
+        # V diag(sigma) Vinv, with the cutoff formed as a dense diagonal
+        ops = build_operators(24)
+        fm = build_filter(ops, FilterSpec())
+        dense = ops.V @ np.diag(cutoff_profile(24, fm.spec)) @ ops.Vinv
+        assert np.array_equal(fm.F, dense)
 
     def test_low_modes_preserved(self):
         ops = build_operators(14)

@@ -1,5 +1,7 @@
 """Tests for the finite-volume reference solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ class TestFvConfig:
         assert cfg.dx == pytest.approx(2e-4)
 
     @pytest.mark.parametrize("bad", [dict(cells=5), dict(cfl=0.0), dict(cfl=1.2),
-                                     dict(domain=(2.0, 0.0)), dict(t_final=0.0)])
+                                     dict(domain=(2.0, 0.0)), dict(t_final=0.0),
+                                     dict(t_final=math.nan), dict(t_final=math.inf)])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             FvConfig(**bad)

@@ -1,5 +1,7 @@
-"""Randomised invariants: filter contractivity, the adjoint identity and the
-split-form Burgers energy bound, on drawn degrees, filter parameters and states.
+"""Randomised invariants on drawn degrees, filter parameters and states:
+filter contractivity, the adjoint identity, the split-form Burgers energy
+bound, and conservation of mass by the filter, the conservative-form DG
+Burgers step and the finite-volume reference solver.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -11,9 +13,12 @@ from hypothesis.extra.numpy import arrays
 
 from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.filters import FilterSpec, auxiliary_filter, build_filter
+from dgfilter.fv import FvConfig, solve_fv_burgers, total_mass
 from dgfilter.operators import build_operators, discrete_norm
+from dgfilter.timestepping import RunConfig, integrate
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+EPS = np.finfo(float).eps
 
 
 def nodal_states(n):
@@ -22,13 +27,13 @@ def nodal_states(n):
 
 
 @st.composite
-def filtered_states(draw):
-    """(operators, filter spec, nodal state) with N <= 128, even s and nc <= N."""
-    n = draw(st.integers(1, 128))
+def filtered_states(draw, min_nc=0):
+    """(operators, filter spec, nodal state) with N <= 128, even s and min_nc <= nc <= N."""
+    n = draw(st.integers(max(1, min_nc), 128))
     spec = FilterSpec(
         alpha=draw(st.floats(0.5, 60.0)),
         s=2 * draw(st.integers(1, 32)),
-        nc=draw(st.integers(0, n)),
+        nc=draw(st.integers(min_nc, n)),
         clip_highest=draw(st.booleans()),
     )
     return build_operators(n), spec, draw(nodal_states(n))
@@ -51,6 +56,20 @@ def test_adjoint_filter_equals_filter(case):
     assert gap <= 1e-10 * float(np.max(np.abs(fmat)))  # verify_filter's adjoint_tol
 
 
+@PROPERTY
+@given(filtered_states(min_nc=1))
+def test_filter_conserves_mass_when_mode_zero_is_kept(case):
+    """sum w (F u) = sum w u: sigma_0 = 1, and the quadrature integrates every
+    higher mode against the constant exactly, to zero. F is formed from V and
+    Vinv, so its roundoff scales with |V| |Vinv|, not with |F|; below the
+    smallest normal number roundoff is absolute."""
+    ops, spec, u = case
+    fmat = build_filter(ops, spec).F
+    drift = abs(float(np.sum(ops.weights * (fmat @ u))) - float(np.sum(ops.weights * u)))
+    size = np.abs(ops.V) @ (np.abs(ops.Vinv) @ np.abs(u))
+    assert drift <= (ops.N + 1) * EPS * float(np.sum(ops.weights * size)) + np.finfo(float).tiny
+
+
 @st.composite
 def burgers_states(draw):
     n = draw(st.integers(1, 128))
@@ -70,3 +89,39 @@ def test_split_form_energy_rate_is_nonpositive(case):
     volume = (problem.dx / 2.0) * problem.scale * float(np.max(u * u)) * float(
         np.sum(ops.weights * np.abs(u) * np.sum(np.abs(ops.D), axis=1)))
     assert rate <= 10 * (ops.N + 1) * np.finfo(float).eps * volume
+
+
+@PROPERTY
+@given(burgers_states())
+def test_conservative_burgers_conserves_mass(case):
+    """sum w u is constant under the conservative-form step: the volume term
+    integrates to f(1) - f(-1), which the periodic surface terms cancel.
+
+    Rough random data is unstable in this form, so the run is short (100
+    steps at CFL 0.02); the bound is roundoff in the rate and the update."""
+    ops, u0 = case
+    problem = ProblemSpec(pde="burgers_conservative", domain=(0.0, 2.0))
+    umax0 = max(float(np.max(np.abs(u0))), 1e-3)
+    dt = 0.02 * 0.5 * problem.dx * float(np.min(np.diff(ops.nodes))) / umax0
+    traj = integrate(u0, make_rhs(problem, ops), RunConfig(t_final=100 * dt, dt=dt),
+                     observers={"mass": lambda t, u: float(np.sum(ops.weights * u)),
+                                "umax": lambda t, u: float(np.max(np.abs(u)))})
+    assert not traj.crashed
+    umax = float(np.max(traj.series["umax"]))
+    rate = problem.scale * float(np.sum(ops.weights * np.sum(np.abs(ops.D), axis=1))) * umax**2
+    drift = float(np.max(np.abs(traj.series["mass"] - traj.series["mass"][0])))
+    assert drift <= traj.n_steps * EPS * (dt * rate + 2.0 * umax)
+
+
+@PROPERTY
+@given(st.integers(10, 128).flatmap(lambda cells: st.tuples(
+    st.just(cells), arrays(np.float64, cells, elements=st.floats(-1.0, 1.0)),
+    st.floats(0.01, 1.0))))
+def test_fv_conserves_mass(case):
+    """Periodic LLF interface fluxes telescope, so total mass only moves by
+    the roundoff of each step's cell updates."""
+    cells, u0, t_final = case
+    config = FvConfig(cells=cells, t_final=t_final)
+    _, u, steps = solve_fv_burgers(config, lambda x: u0)
+    drift = abs(total_mass(u, config.dx) - total_mass(u0, config.dx))
+    assert drift <= steps * cells * EPS * float(np.max(np.abs(u0))) * config.dx

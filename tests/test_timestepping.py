@@ -54,28 +54,31 @@ class TestRk3Step:
 
 class TestRunConfig:
     def test_requires_exactly_one_step_policy(self):
+        # the step size comes from config.dt or from dt_fn, never both
         with pytest.raises(ValueError):
-            RunConfig(t_final=1.0)
-        with pytest.raises(ValueError):
-            RunConfig(t_final=1.0, dt=0.1, cfl=0.5)
+            integrate(np.ones(2), lambda u, t: -u, RunConfig(t_final=1.0, dt=0.1),
+                      dt_fn=lambda u: 0.1)
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            RunConfig(t_final=-1.0, dt=0.1)
-        with pytest.raises(ValueError):
-            RunConfig(t_final=1.0, dt=0.1, record_every=0)
+        for bad in [dict(t_final=-1.0, dt=0.1), dict(t_final=1.0, dt=0.1, record_every=0),
+                    dict(t_final=math.nan, dt=0.1), dict(t_final=math.inf, dt=0.1),
+                    dict(t_final=1.0, dt=math.nan), dict(t_final=1.0, dt=math.inf),
+                    dict(t_final=1.0, dt=0.0)]:
+            with pytest.raises(ValueError):
+                RunConfig(**bad)
 
 
 class TestFilterSchedule:
-    def test_requires_matrices(self):
-        with pytest.raises(ValueError):
-            FilterSchedule(mode="every_step")
-
     def test_rejects_unsorted_times(self):
         ops = build_operators(4)
         fm = build_filter(ops, FilterSpec())
         with pytest.raises(ValueError):
-            FilterSchedule(mode="at_times", matrices=fm, times=(0.5, 0.25))
+            FilterSchedule(fm.F, times=(0.5, 0.25))
+
+    @pytest.mark.parametrize("times", [(), (0.0, 0.5), (-0.1,)])
+    def test_rejects_empty_or_nonpositive_times(self, times):
+        with pytest.raises(ValueError):
+            FilterSchedule(np.eye(3), times=times)
 
 
 def advection_setup(n=24, g=None):
@@ -112,7 +115,7 @@ class TestIntegrate:
         traj = integrate(
             u0, make_rhs(problem, ops),
             RunConfig(t_final=0.5, dt=1e-3, record_every=25),
-            schedule=FilterSchedule(mode="every_step", matrices=fm),
+            schedule=FilterSchedule(fm.F),
             observers={"norm": lambda t, u: discrete_norm(u, ops.weights)},
         )
         norms = traj.series["norm"]
@@ -124,8 +127,7 @@ class TestIntegrate:
         traj = integrate(
             gaussian_pulse(x, 0.0), make_rhs(problem, ops),
             RunConfig(t_final=0.4, dt=0.03),
-            schedule=FilterSchedule(mode="at_times", matrices=fm,
-                                    times=(0.1, 0.2, 0.4)),
+            schedule=FilterSchedule(fm.F, times=(0.1, 0.2, 0.4)),
             norm_fn=lambda u: discrete_norm(u, ops.weights),
         )
         event_times = [t for t, _, _ in traj.filter_events]
@@ -150,9 +152,15 @@ class TestIntegrate:
         assert traj.crashed and traj.crash_time < 1.5
 
     def test_cfl_stepping_needs_dt_fn(self):
+        # without a fixed dt the step size must come from dt_fn
         with pytest.raises(ValueError):
-            integrate(np.ones(2), lambda u, t: -u,
-                      RunConfig(t_final=1.0, cfl=0.5))
+            integrate(np.ones(2), lambda u, t: -u, RunConfig(t_final=1.0))
+
+    def test_dt_fn_sets_each_step(self):
+        sizes = iter([0.5, 0.25, 0.125, 10.0])
+        traj = integrate(np.ones(2), lambda u, t: -u, RunConfig(t_final=1.0),
+                         dt_fn=lambda u: next(sizes))
+        assert np.allclose(traj.times, [0.0, 0.5, 0.75, 0.875, 1.0], atol=1e-15)
 
     def test_filter_times_must_fit_horizon(self):
         ops = build_operators(4)
@@ -160,8 +168,7 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(np.ones(5), lambda u, t: -u,
                       RunConfig(t_final=1.0, dt=0.1),
-                      schedule=FilterSchedule(mode="at_times", matrices=fm,
-                                              times=(0.5, 1.5)))
+                      schedule=FilterSchedule(fm.F, times=(0.5, 1.5)))
 
     def test_record_cadence(self):
         traj = integrate(np.ones(2), lambda u, t: -u,
