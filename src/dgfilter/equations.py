@@ -29,14 +29,16 @@ class ProblemSpec:
 
     The PDE fixes the boundary treatment: advection problems impose the
     Dirichlet trace ``inflow`` = g(t) weakly at the left endpoint, Burgers
-    runs couple the two element faces periodically.
+    runs couple the two element faces periodically. ``inflow`` must accept
+    an array of times and return g elementwise: the linear studies ask for
+    many stage times in one call.
     """
 
     pde: str
     domain: tuple[float, float] = (-1.0, 1.0)
     wave_speed: float = 1.0
     wave_speed_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    inflow: Optional[Callable[[float], float]] = None
+    inflow: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.pde not in PDE_KINDS:

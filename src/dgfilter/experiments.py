@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,7 +21,8 @@ from .equations import ProblemSpec, make_rhs
 from .filters import FilterSpec, build_filter
 from .fv import FvConfig, solve_fv_burgers
 from .operators import OperatorSet, build_operators, interpolation_matrix
-from .timestepping import FilterSchedule, RunConfig, Trajectory, integrate
+from .timestepping import (RK3_C, FilterSchedule, RunConfig, Trajectory, fixed_steps, integrate,
+                           rk3_affine_step)
 
 CSV_HEADER = "experiment,variant,N,dt,t_or_N,value,extra"
 
@@ -137,20 +138,69 @@ def write_csv(path, records: Sequence[ExperimentRecord]) -> None:
 # drivers
 # ---------------------------------------------------------------------------
 
+# steps whose inflow forcing B g is formed at once: one (STEP_CHUNK, N + 1)
+# array, never the whole run's
+STEP_CHUNK = 64
+
+
+def _linear_rhs_matrix(problem: ProblemSpec, ops: OperatorSet):
+    """(L, r) with make_rhs(problem, ops)(u, t) = L u + r g(t) for an advection problem.
+
+    Column j of L is the right-hand side of the unit vector e_j under zero
+    inflow; r is the right-hand side of u = 0 under unit inflow.
+    """
+    n1 = ops.N + 1
+    rhs = make_rhs(replace(problem, inflow=lambda t: 0.0), ops)
+    lmat = np.empty((n1, n1))
+    e = np.zeros(n1)
+    for j in range(n1):
+        e[j] = 1.0
+        lmat[:, j] = rhs(e, 0.0)
+        e[j] = 0.0
+    r = make_rhs(replace(problem, inflow=lambda t: 1.0), ops)(np.zeros(n1), 0.0)
+    return lmat, r
+
+
 def _run_linear(problem: ProblemSpec, n: int, u0_fn, exact_fn, config: RunConfig,
                 filter_spec: Optional[FilterSpec]):
     """One fixed-step linear advection run at degree ``n``.
 
-    Builds the operators, the filter (applied after every step unless
-    ``filter_spec`` is None) and the RHS, integrates ``u0_fn(x)`` and
-    returns (x, trajectory, max-norm error against ``exact_fn(x, t_final)``).
+    Takes the steps :func:`integrate` would, each as the affine map
+    u <- A u + B g with A = F S and B = F Q (S and Q from
+    :func:`rk3_affine_step`; F is left out when ``filter_spec`` is None) and
+    g the inflow at the step's stage times. A is applied as u + (A - I) u.
+    Returns (x, final state, max-norm error against ``exact_fn(x, t_final)``).
     """
     ops = build_operators(n)
-    schedule = None if filter_spec is None else FilterSchedule(build_filter(ops, filter_spec).F)
+    fmat = None if filter_spec is None else build_filter(ops, filter_spec).F
     x = problem.physical_nodes(ops.nodes)
-    traj = integrate(u0_fn(x), make_rhs(problem, ops), config, schedule=schedule)
-    err = error_linf(traj.u_final, lambda xx: exact_fn(xx, config.t_final), x)
-    return x, traj, err
+    lmat, r = _linear_rhs_matrix(problem, ops)
+    n1 = ops.N + 1
+
+    def step_map(h):
+        inc = rk3_affine_step(lmat, r, h)
+        if fmat is not None:
+            # F S - I = F (S - I) + (F - I)
+            inc = fmat @ inc
+            inc[:, :n1] += fmat - np.eye(n1)
+        return inc[:, :n1], inc[:, n1:], np.multiply(RK3_C, h)
+
+    dt = config.dt
+    starts, h_last = fixed_steps(config.t_final, dt)
+    n_full = starts.size if h_last == dt else starts.size - 1
+    maps = [(starts[:n_full], step_map(dt))]
+    if n_full < starts.size:
+        maps.append((starts[n_full:], step_map(h_last)))
+    del lmat
+
+    u = u0_fn(x)
+    for t_starts, (a_inc, bmat, c_h) in maps:
+        for k in range(0, t_starts.size, STEP_CHUNK):
+            g = problem.inflow(t_starts[k:k + STEP_CHUNK, None] + c_h)
+            for force in g @ bmat.T:
+                u = u + (a_inc @ u + force)
+    err = error_linf(u, lambda xx: exact_fn(xx, config.t_final), x)
+    return x, u, err
 
 
 @dataclass
@@ -175,7 +225,7 @@ def run_convergence(n_list: Sequence[int], dt: float,
     record = ExperimentRecord("convergence", filter_tag(filter_spec))
     problem = ProblemSpec(
         pde="advection_constant", domain=(0.0, 1.0), wave_speed=1.0,
-        inflow=lambda t: float(gaussian_pulse(0.0, t)),
+        inflow=lambda t: gaussian_pulse(0.0, t),
     )
     ns, errors = [], []
     for n in n_list:
@@ -194,7 +244,6 @@ class VarspeedResult:
     u_final: np.ndarray
     linf_error: float
     tv: float
-    trajectory: Trajectory
     record: ExperimentRecord
 
 
@@ -211,21 +260,20 @@ def run_varspeed(n: int = 256, dt: float = 1.0 / 2000.0, filtered: bool = True,
     t_start = time.perf_counter()
     problem = ProblemSpec(
         pde="advection_variable", domain=(-1.0, 1.0), wave_speed_fn=varspeed_wave_speed,
-        inflow=lambda t: float(varspeed_exact(-1.0, t)),
+        inflow=lambda t: varspeed_exact(-1.0, t),
     )
     spec = filter_spec if filtered else None
-    x, traj, err = _run_linear(problem, n, lambda xx: np.sin(np.pi * xx), varspeed_exact,
-                               config, spec)
-    tv = total_variation(traj.u_final)
+    x, u, err = _run_linear(problem, n, lambda xx: np.sin(np.pi * xx), varspeed_exact,
+                            config, spec)
+    tv = total_variation(u)
 
     record = ExperimentRecord("varspeed", filter_tag(spec))
-    for xi, ui in zip(x, traj.u_final):
+    for xi, ui in zip(x, u):
         record.add(n, dt, xi, ui, "solution")
     record.add(n, dt, t_final, err, "linf_error")
     record.add(n, dt, t_final, tv, "total_variation")
     record.wall_time = time.perf_counter() - t_start
-    return VarspeedResult(x=x, u_final=traj.u_final, linf_error=err, tv=tv,
-                          trajectory=traj, record=record)
+    return VarspeedResult(x=x, u_final=u, linf_error=err, tv=tv, record=record)
 
 
 @dataclass

@@ -72,6 +72,41 @@ def rk3_step(u, t: float, dt: float, rhs):
     return u
 
 
+def rk3_affine_step(lmat: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
+    """One RK3 step of u' = L u + r g(t) as the increment matrix [S - I | Q].
+
+    The step maps u to u + (S - I) u + Q g, where g holds g(t + c_i dt) at
+    the three stage times. ``rk3_step`` advances W = U - [I | 0] from zero,
+    with the right-hand side L ([I | 0] + W) plus r in the column of the
+    current stage, so each column is the step's response to one unit of
+    input. Kept apart from the identity, the entries of S - I round
+    relative to their own size; in S itself, an error of eps in an entry
+    acts like an error of eps / dt in L.
+    """
+    n = lmat.shape[0]
+    stage_col = iter(range(n, n + len(RK3_C)))
+
+    def rhs(w, t):
+        out = lmat @ w
+        out[:, :n] += lmat
+        out[:, next(stage_col)] += r
+        return out
+
+    return rk3_step(np.zeros((n, n + len(RK3_C))), 0.0, dt, rhs)
+
+
+def fixed_steps(t_final: float, dt: float) -> tuple[np.ndarray, float]:
+    """Start times of the steps :func:`integrate` takes from t = 0 at fixed ``dt``,
+    and the size of the last one, which is shorter than ``dt`` when the steps
+    would overshoot ``t_final``."""
+    eps = 1e-12 * max(1.0, abs(t_final))
+    t, starts = 0.0, []
+    while t < t_final - eps:
+        starts.append(t)
+        t += min(dt, t_final - t)
+    return np.array(starts), min(dt, t_final - starts[-1]) if starts else dt
+
+
 def _default_crash_check(u) -> bool:
     return not np.all(np.isfinite(u))
 

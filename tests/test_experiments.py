@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import (
     BURGERS_VARIANTS,
     CSV_HEADER,
+    _run_linear,
     burgers_initial,
     error_linf,
     filter_tag,
@@ -17,10 +19,13 @@ from dgfilter.experiments import (
     shock_position,
     total_variation,
     varspeed_exact,
+    varspeed_wave_speed,
     write_csv,
 )
-from dgfilter.filters import FilterSpec
+from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.fv import FvConfig
+from dgfilter.operators import build_operators
+from dgfilter.timestepping import FilterSchedule, RunConfig, integrate
 
 
 class TestProblemData:
@@ -114,6 +119,55 @@ class TestVarspeedDriver:
         assert res.linf_error <= 0.05
         kinds = {extra for *_, extra in res.record.rows}
         assert kinds == {"solution", "linf_error", "total_variation"}
+
+
+def linear_case(kind, calls):
+    """(problem, n, u0_fn, exact_fn) of one linear study; the inflow appends
+    every time it is asked for to ``calls``, in order."""
+    def recorded(fn):
+        def inflow(t):
+            calls.extend(np.ravel(t).tolist())
+            return fn(t)
+        return inflow
+
+    if kind == "constant":
+        problem = ProblemSpec(pde="advection_constant", domain=(0.0, 1.0), wave_speed=1.0,
+                              inflow=recorded(lambda t: gaussian_pulse(0.0, t)))
+        return problem, 24, lambda x: gaussian_pulse(x, 0.0), gaussian_pulse
+    problem = ProblemSpec(pde="advection_variable", domain=(-1.0, 1.0),
+                          wave_speed_fn=varspeed_wave_speed,
+                          inflow=recorded(lambda t: varspeed_exact(-1.0, t)))
+    return problem, 40, lambda x: np.sin(np.pi * x), varspeed_exact
+
+
+class TestLinearPropagator:
+    """The affine step propagator of the linear studies against integrate."""
+
+    @pytest.mark.parametrize("kind", ["constant", "variable"])
+    @pytest.mark.parametrize("filtered", [True, False])
+    @pytest.mark.parametrize("t_final, dt", [
+        (0.3011, 2e-3),     # last step truncated to 1.1e-3
+        (0.3, 2e-3),        # last step short by roundoff
+        (0.25, 1.0 / 64),   # exact multiple: no truncated step
+    ])
+    def test_matches_integrate(self, kind, filtered, t_final, dt):
+        spec = FilterSpec() if filtered else None
+        config = RunConfig(t_final=t_final, dt=dt, record_every=10**9)
+        prop_calls, ref_calls = [], []
+        problem, n, u0_fn, exact_fn = linear_case(kind, prop_calls)
+        x, u, err = _run_linear(problem, n, u0_fn, exact_fn, config, spec)
+
+        problem, n, u0_fn, exact_fn = linear_case(kind, ref_calls)
+        ops = build_operators(n)
+        schedule = None if spec is None else FilterSchedule(build_filter(ops, spec).F)
+        traj = integrate(u0_fn(x), make_rhs(problem, ops), config, schedule=schedule)
+
+        # same steps: the inflow is asked for at the same stage times
+        assert len(prop_calls) == 3 * traj.n_steps
+        assert np.array_equal(prop_calls, ref_calls)
+        scale = float(np.max(np.abs(traj.u_final)))
+        assert np.max(np.abs(u - traj.u_final)) <= 1e-10 * scale
+        assert err == error_linf(u, lambda xx: exact_fn(xx, t_final), x)
 
 
 class TestBurgersDriver:

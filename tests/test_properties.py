@@ -1,10 +1,14 @@
 """Randomised invariants on drawn degrees, filter parameters and states:
 filter contractivity, the adjoint identity, the split-form Burgers energy
-bound, and conservation of mass by the filter, the conservative-form DG
-Burgers step and the finite-volume reference solver.
+bound, conservation of mass by the filter, the conservative-form DG
+Burgers step and the finite-volume reference solver, and byte-identical
+CSVs from repeated linear studies.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dgfilter.equations import ProblemSpec, make_rhs
+from dgfilter.experiments import run_convergence, run_varspeed, write_csv
 from dgfilter.filters import FilterSpec, auxiliary_filter, build_filter
 from dgfilter.fv import FvConfig, solve_fv_burgers, total_mass
 from dgfilter.operators import build_operators, discrete_norm
@@ -125,3 +130,20 @@ def test_fv_conserves_mass(case):
     _, u, steps = solve_fv_burgers(config, lambda x: u0)
     drift = abs(total_mass(u, config.dx) - total_mass(u0, config.dx))
     assert drift <= steps * cells * EPS * float(np.max(np.abs(u0))) * config.dx
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.sampled_from(("convergence", "varspeed")), st.integers(7, 24),
+       st.floats(1e-3, 5e-3), st.booleans())
+def test_linear_study_csv_is_byte_deterministic(study, n, dt, filtered):
+    """The same study written twice gives the same bytes."""
+    def record():
+        if study == "convergence":
+            return run_convergence([n], dt, FilterSpec() if filtered else None, t_final=0.1).record
+        return run_varspeed(n, dt, filtered=filtered, t_final=0.1).record
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("a.csv", "b.csv")]
+        for path in paths:
+            write_csv(path, [record()])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
