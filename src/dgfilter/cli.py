@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -78,7 +79,6 @@ def _cmd_convergence(args) -> int:
     experiments.write_csv(args.out, [res.record])
     for n, err in zip(res.ns, res.errors):
         print(f"N = {n:3d}  Linf error = {err:.6e}")
-    print(f"wrote {args.out} ({res.record.wall_time:.2f} s)", file=sys.stderr)
     return 0
 
 
@@ -87,7 +87,6 @@ def _cmd_varspeed(args) -> int:
     experiments.write_csv(args.out, [res.record])
     print(f"Linf error       = {res.linf_error:.6e}")
     print(f"total variation  = {res.tv:.6e}")
-    print(f"wrote {args.out} ({res.record.wall_time:.2f} s)", file=sys.stderr)
     return 0
 
 
@@ -100,7 +99,6 @@ def _cmd_burgers(args) -> int:
         print(f"crashed at t = {traj.crash_time:.4f}")
     else:
         print(f"completed; final normalized energy = {traj.series['energy'][-1]:.6f}")
-    print(f"wrote {args.out} ({res.record.wall_time:.2f} s)", file=sys.stderr)
     return 0
 
 
@@ -108,7 +106,6 @@ def _cmd_fv_reference(args) -> int:
     res = experiments.run_fv_reference(FvConfig(cells=args.cells, cfl=args.cfl))
     experiments.write_csv(args.out, [res.record])
     print(f"finite-volume reference: {args.cells} cells, {res.steps} steps")
-    print(f"wrote {args.out} ({res.record.wall_time:.2f} s)", file=sys.stderr)
     return 0
 
 
@@ -166,6 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_out(path: str) -> None:
     """Fail before a study runs if its CSV cannot be created."""
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
     parent = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise OSError(f"cannot write {path}: {parent} is not a writable directory")
@@ -173,13 +172,18 @@ def _check_out(path: str) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        if getattr(args, "out", None) is not None:
-            _check_out(args.out)
-        return args.func(args)
+        if out is not None:
+            _check_out(out)
+        t_start = time.perf_counter()
+        code = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"dgfilter: error: {exc}", file=sys.stderr)
         return 2
+    if out is not None:
+        print(f"wrote {out} ({time.perf_counter() - t_start:.2f} s)", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -64,22 +64,6 @@ class ProblemSpec:
         return self.domain[0] + 0.5 * self.dx * (ref_nodes + 1.0)
 
 
-def llf_flux(u_left: float, u_right: float, flux_kind: str, a: float = 1.0) -> float:
-    """Local Lax-Friedrichs flux: mean flux minus half the jump times max speed.
-
-    Consistent by construction: coinciding arguments return the exact flux.
-    """
-    if flux_kind == "advection":
-        f_l, f_r = a * u_left, a * u_right
-        lam = abs(a)
-    elif flux_kind == "burgers":
-        f_l, f_r = 0.5 * u_left * u_left, 0.5 * u_right * u_right
-        lam = max(abs(u_left), abs(u_right))
-    else:
-        raise ValueError(f"unknown flux kind {flux_kind!r}")
-    return 0.5 * (f_l + f_r) - 0.5 * lam * (u_right - u_left)
-
-
 def make_rhs(problem: ProblemSpec, ops: OperatorSet) -> Callable[[np.ndarray, float], np.ndarray]:
     """Bind a problem to its operators as an array-level rhs(u, t) closure.
 

@@ -11,7 +11,6 @@ byte-identical output.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -111,7 +110,6 @@ class ExperimentRecord:
     experiment: str
     variant: str
     rows: list = field(default_factory=list)
-    wall_time: float = 0.0
 
     def add(self, n: int, dt: float, t_or_n: float, value: float, extra: str = ""):
         self.rows.append((n, dt, t_or_n, value, extra))
@@ -220,8 +218,7 @@ def run_convergence(n_list: Sequence[int], dt: float,
     """
     if not all(7 <= n <= 64 for n in n_list):
         raise ValueError("convergence sweep degrees must lie in [7, 64]")
-    config = RunConfig(t_final=t_final, dt=dt, record_every=10**9)
-    t_start = time.perf_counter()
+    config = RunConfig(t_final=t_final, dt=dt)
     record = ExperimentRecord("convergence", filter_tag(filter_spec))
     problem = ProblemSpec(
         pde="advection_constant", domain=(0.0, 1.0), wave_speed=1.0,
@@ -234,7 +231,6 @@ def run_convergence(n_list: Sequence[int], dt: float,
         ns.append(n)
         errors.append(err)
         record.add(n, dt, n, err, "linf_error")
-    record.wall_time = time.perf_counter() - t_start
     return ConvergenceResult(ns=ns, errors=errors, record=record)
 
 
@@ -256,8 +252,7 @@ def run_varspeed(n: int = 256, dt: float = 1.0 / 2000.0, filtered: bool = True,
     nodal profile, the max-norm error against the closed-form solution and
     the total variation of the nodal values.
     """
-    config = RunConfig(t_final=t_final, dt=dt, record_every=10**9)
-    t_start = time.perf_counter()
+    config = RunConfig(t_final=t_final, dt=dt)
     problem = ProblemSpec(
         pde="advection_variable", domain=(-1.0, 1.0), wave_speed_fn=varspeed_wave_speed,
         inflow=lambda t: varspeed_exact(-1.0, t),
@@ -272,16 +267,13 @@ def run_varspeed(n: int = 256, dt: float = 1.0 / 2000.0, filtered: bool = True,
         record.add(n, dt, xi, ui, "solution")
     record.add(n, dt, t_final, err, "linf_error")
     record.add(n, dt, t_final, tv, "total_variation")
-    record.wall_time = time.perf_counter() - t_start
     return VarspeedResult(x=x, u_final=u, linf_error=err, tv=tv, record=record)
 
 
 @dataclass
 class BurgersResult:
-    x: np.ndarray
     ops: OperatorSet
     trajectory: Trajectory
-    energy0: float
     record: ExperimentRecord
 
 
@@ -301,12 +293,10 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
     if not (math.isfinite(cfl) and cfl > 0):
         raise ValueError("cfl must be positive and finite")
     config = RunConfig(t_final=t_final, record_every=record_every)
-    t_start = time.perf_counter()
     pde = "burgers_conservative" if variant.startswith("cons") else "burgers_skew"
     filtered = variant.endswith("_filtered")
     problem = ProblemSpec(pde=pde, domain=(0.0, 2.0))
     ops = build_operators(n)
-    x = problem.physical_nodes(ops.nodes)
 
     # The crash check, the observer and norm_fn all ask for the energy of the
     # same state; integrate never changes a state in place, so the energy is
@@ -319,7 +309,7 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
             last_u, last_e = u, 0.5 * (problem.dx / 2.0) * float(np.sum(ops.weights * u * u))
         return last_e
 
-    u0 = burgers_initial(x)
+    u0 = burgers_initial(problem.physical_nodes(ops.nodes))
     e0 = phys_energy(u0)
 
     schedule = None
@@ -355,8 +345,7 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
         record.add(n, cfl, t, e, "energy")
     if traj.crashed:
         record.add(n, cfl, traj.crash_time, traj.crash_time, "crash")
-    record.wall_time = time.perf_counter() - t_start
-    return BurgersResult(x=x, ops=ops, trajectory=traj, energy0=e0, record=record)
+    return BurgersResult(ops=ops, trajectory=traj, record=record)
 
 
 @dataclass
@@ -369,12 +358,10 @@ class FvResult:
 
 def run_fv_reference(config: FvConfig = FvConfig()) -> FvResult:
     """Finite-volume reference profile for the Burgers study."""
-    t_start = time.perf_counter()
     x, u, steps = solve_fv_burgers(config, burgers_initial)
     record = ExperimentRecord("fv_reference", "llf_euler")
     for xi, ui in zip(x, u):
         record.add(config.cells, config.cfl, xi, ui, "solution")
-    record.wall_time = time.perf_counter() - t_start
     return FvResult(x=x, u_final=u, steps=steps, record=record)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import OperatorSet, discrete_norm
+from .operators import OperatorSet
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,6 @@ def quadrature_gram(vmat: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _mass_product(vmat, w)
 
 
-def gram_offdiag_max(kmat: np.ndarray) -> float:
-    """Largest off-diagonal magnitude of a Gram matrix."""
-    return float(np.max(np.abs(kmat - np.diag(np.diag(kmat)))))
-
-
 def contractivity_spectrum(fmat: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of the symmetrized matrix F^T M F - M, M = diag(w).
 
@@ -116,11 +111,6 @@ def contractivity_spectrum(fmat: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     a = _mass_product(fmat, w) - np.diag(w)
     return np.linalg.eigvalsh(0.5 * (a + a.T))
-
-
-def contraction_check(fmat: np.ndarray, w: np.ndarray, u: np.ndarray) -> tuple[float, float]:
-    """Return (||F u||, ||u||) in the quadrature norm with weights ``w``."""
-    return discrete_norm(fmat @ u, w), discrete_norm(u, w)
 
 
 def build_filter(ops: OperatorSet, spec: FilterSpec) -> FilterMatrices:
@@ -172,7 +162,7 @@ def verify_filter(ops: OperatorSet, spec: FilterSpec) -> FilterVerification:
     lam = contractivity_spectrum(fmat, ops.weights)
     return FilterVerification(
         n=n,
-        gram_offdiag=gram_offdiag_max(kmat),
+        gram_offdiag=float(np.max(np.abs(kmat - np.diag(np.diag(kmat))))),
         gram_last=gram_last,
         gram_error=gram_error,
         adjoint_gap=adjoint_gap,

@@ -52,7 +52,3 @@ def solve_fv_burgers(config: FvConfig,
     u0 = np.ascontiguousarray(init(x), dtype=float)
     u, steps = kernels.fv_burgers(u0, config.dx, config.cfl, config.t_final)
     return x, u, steps
-
-
-def total_mass(u: np.ndarray, dx: float) -> float:
-    return float(np.sum(u) * dx)

@@ -93,19 +93,6 @@ def lgl_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def legendre_normalized(j: int, xi):
-    """Evaluate the degree-``j`` Legendre polynomial normalized to unit L2 norm.
-
-    Reads column ``j`` of the three-term recurrence table; accepts a scalar
-    or an array of points.
-    """
-    if j < 0:
-        raise ValueError("mode index must be non-negative")
-    x = np.asarray(xi, dtype=float)
-    out = _legendre_table(j, x.reshape(-1))[:, j].reshape(x.shape)
-    return float(out) if x.ndim == 0 else out
-
-
 def _legendre_table(n: int, x: np.ndarray) -> np.ndarray:
     """Columns j = 0..n of the normalized Legendre basis at points ``x``."""
     tab = np.empty((x.size, n + 1))
@@ -196,14 +183,9 @@ def interpolation_matrix(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return mat
 
 
-def discrete_inner(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
-    """Quadrature inner product sum_i u_i w_i v_i with LGL weights ``w``."""
-    return float(np.sum(u * w * v))
-
-
 def discrete_norm(u: np.ndarray, w: np.ndarray) -> float:
-    """Quadrature norm induced by :func:`discrete_inner`."""
-    return float(np.sqrt(discrete_inner(u, u, w)))
+    """Quadrature norm sqrt(sum_i u_i w_i u_i) with LGL weights ``w``."""
+    return float(np.sqrt(np.sum(u * w * u)))
 
 
 def sbp_residual(ops: OperatorSet) -> float:

@@ -57,6 +57,8 @@ class TestExitCodes:
                      id="convergence-low-degrees"),
         pytest.param(["fv-reference", "--cells", "100", "--out", "{tmp}/missing/f.csv"],
                      id="unwritable-out"),
+        pytest.param(["fv-reference", "--cells", "2000", "--out", "{tmp}"],
+                     id="out-is-directory"),
         pytest.param(["burgers", "--variant", "skew_unfiltered", "--cfl", "nan",
                       "--out", "{tmp}/b.csv"], id="burgers-nan-cfl"),
         pytest.param(["convergence", "--n-list", "7,9", "--dt", "nan", "--out", "{tmp}/c.csv"],

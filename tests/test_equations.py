@@ -1,9 +1,9 @@
-"""Tests for the numerical flux and the semi-discrete right-hand sides."""
+"""Tests for the semi-discrete right-hand sides and their numerical fluxes."""
 
 import numpy as np
 import pytest
 
-from dgfilter.equations import ProblemSpec, llf_flux, make_rhs
+from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import (
     burgers_initial,
     varspeed_exact,
@@ -41,6 +41,10 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(pde="burgers_skew", domain=(1.0, 0.0))
 
+    def test_rejects_unknown_pde(self):
+        with pytest.raises(ValueError):
+            ProblemSpec(pde="traffic")
+
     def test_mapping(self):
         p = burgers_problem()
         assert p.dx == 2.0 and p.scale == 1.0
@@ -49,21 +53,39 @@ class TestProblemSpec:
 
 
 class TestLlfFlux:
+    """The local Lax-Friedrichs face flux, read off the right-hand sides."""
+
     def test_consistency(self):
-        assert llf_flux(0.7, 0.7, "advection", a=2.0) == pytest.approx(1.4)
-        assert llf_flux(0.7, 0.7, "burgers") == pytest.approx(0.245)
+        # equal states on both sides of a face: the flux is the exact flux,
+        # so the surface term vanishes and only the volume term is left
+        ops = build_operators(8)
+        u = np.linspace(0.7, -0.3, 9)
+        problem = advection_problem(lambda t: 0.7, a=2.0)
+        rhs = make_rhs(problem, ops)(u, 0.0)
+        assert rhs[0] == pytest.approx(-problem.scale * (ops.D @ (2.0 * u))[0])
+        u = 0.7 + 0.2 * (1.0 - ops.nodes**2)
+        problem = burgers_problem()
+        rhs = make_rhs(problem, ops)(u, 0.0)
+        volume = -problem.scale * (ops.D @ (0.5 * u * u))
+        assert rhs[0] == pytest.approx(volume[0]) and rhs[-1] == pytest.approx(volume[-1])
 
     def test_advection_upwinds(self):
-        # half sum of fluxes plus half jump: 1 - (-1) = 2
-        assert llf_flux(2.0, 0.0, "advection", a=1.0) == pytest.approx(2.0)
+        # u = 0 inside, inflow 2, a = 1: half sum of fluxes plus half jump,
+        # 1 - (-1) = 2, enters through the left weight
+        ops = build_operators(8)
+        problem = advection_problem(lambda t: 2.0)
+        rhs = make_rhs(problem, ops)(np.zeros(9), 0.0)
+        assert rhs[0] == pytest.approx(problem.scale * 2.0 / ops.weights[0])
 
     def test_burgers_hand_value(self):
-        # fluxes are both 0.5, max speed 1, jump is -2
-        assert llf_flux(1.0, -1.0, "burgers") == pytest.approx(1.5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            llf_flux(0.0, 0.0, "traffic")
+        # u = xi: the periodic face sees u = 1 on its left and -1 on its
+        # right; fluxes are both 0.5, max speed 1, jump -2, so f* = 1.5.
+        # The volume term -d(xi^2 / 2)/dxi = -xi is exact at degree 6.
+        ops = build_operators(6)
+        problem = ProblemSpec(pde="burgers_conservative", domain=(-1.0, 1.0))
+        rhs = make_rhs(problem, ops)(ops.nodes.copy(), 0.0)
+        assert rhs[0] == pytest.approx(1.0 + (1.5 - 0.5) / ops.weights[0])
+        assert rhs[-1] == pytest.approx(-1.0 - (1.5 - 0.5) / ops.weights[-1])
 
 
 class TestConservativeRhs:
@@ -110,7 +132,7 @@ class TestSkewRhs:
         u = ops.nodes.copy()
         full = make_rhs(problem, ops)(u, 0.0)
         f = 0.5 * u * u
-        fstar = llf_flux(u[-1], u[0], "burgers")
+        fstar = 1.5  # LLF flux of u[-1] = 1 against u[0] = -1, see TestLlfFlux
         surface = np.zeros(7)
         surface[0] = (fstar - f[0]) / ops.weights[0]
         surface[-1] = -(fstar - f[-1]) / ops.weights[-1]

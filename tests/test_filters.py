@@ -9,14 +9,12 @@ from dgfilter.filters import (
     FilterSpec,
     auxiliary_filter,
     build_filter,
-    contraction_check,
     contractivity_spectrum,
     cutoff_profile,
-    gram_offdiag_max,
     quadrature_gram,
     verify_filter,
 )
-from dgfilter.operators import build_operators, legendre_normalized
+from dgfilter.operators import build_operators, discrete_norm
 
 
 def trapezoid_weights(nodes):
@@ -111,7 +109,7 @@ class TestFilterMatrix:
         fm = build_filter(ops, FilterSpec())
         sig = cutoff_profile(11, fm.spec)
         for j in range(12):
-            mode = legendre_normalized(j, ops.nodes)
+            mode = ops.V[:, j]
             assert np.allclose(fm.F @ mode, sig[j] * mode, atol=1e-10)
 
     def test_double_application_squares_cutoff(self):
@@ -139,7 +137,7 @@ class TestFilterMatrix:
         ops = build_operators(14)
         fm = build_filter(ops, FilterSpec())
         for j in range(fm.spec.nc):
-            mode = legendre_normalized(j, ops.nodes)
+            mode = ops.V[:, j]
             assert np.max(np.abs(fm.F @ mode - mode)) <= 1e-10
 
 
@@ -188,7 +186,7 @@ class TestQuadratureGram:
     @pytest.mark.parametrize("n", [2, 8, 32, 64])
     def test_offdiagonal_small(self, n):
         ops = build_operators(n)
-        assert gram_offdiag_max(quadrature_gram(ops.V, ops.weights)) <= 1e-12
+        assert verify_filter(ops, FilterSpec()).gram_offdiag <= 1e-12
 
 
 class TestContractivity:
@@ -235,16 +233,14 @@ class TestContractivity:
     def test_unaffected_mode_keeps_norm(self):
         ops = build_operators(12)
         fm = build_filter(ops, FilterSpec())
-        mode = legendre_normalized(0, ops.nodes)
-        filtered, original = contraction_check(fm.F, ops.weights, mode)
-        assert filtered == pytest.approx(original, rel=1e-13)
+        mode = ops.V[:, 0]
+        filtered = discrete_norm(fm.F @ mode, ops.weights)
+        assert filtered == pytest.approx(discrete_norm(mode, ops.weights), rel=1e-13)
 
     def test_clipped_mode_is_removed(self):
         ops = build_operators(12)
         fm = build_filter(ops, FilterSpec())
-        mode = legendre_normalized(12, ops.nodes)
-        filtered, _ = contraction_check(fm.F, ops.weights, mode)
-        assert filtered <= 1e-12
+        assert discrete_norm(fm.F @ ops.V[:, 12], ops.weights) <= 1e-12
 
     @pytest.mark.parametrize("n", [8, 24])
     def test_random_states_contract(self, n):
@@ -253,8 +249,8 @@ class TestContractivity:
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             u = rng.uniform(-1.0, 1.0, n + 1)
-            filtered, original = contraction_check(fm.F, ops.weights, u)
-            assert filtered <= original * (1.0 + 1e-12)
+            filtered = discrete_norm(fm.F @ u, ops.weights)
+            assert filtered <= discrete_norm(u, ops.weights) * (1.0 + 1e-12)
 
 
 class TestVerifyFilter:

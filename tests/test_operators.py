@@ -8,10 +8,8 @@ import pytest
 from dgfilter.operators import (
     build_operators,
     derivative_matrix,
-    discrete_inner,
     discrete_norm,
     interpolation_matrix,
-    legendre_normalized,
     lgl_nodes_weights,
     sbp_residual,
     vandermonde,
@@ -66,26 +64,22 @@ class TestNodesWeights:
 
 
 class TestLegendreNormalized:
-    def test_mode_zero_is_constant(self):
-        assert legendre_normalized(0, 0.3) == pytest.approx(np.sqrt(0.5), abs=1e-15)
+    """The normalized Legendre basis: the columns of the Vandermonde matrix."""
 
     def test_mode_one_at_right_endpoint(self):
-        assert legendre_normalized(1, 1.0) == pytest.approx(np.sqrt(1.5), abs=1e-15)
-
-    def test_rejects_negative_mode(self):
-        with pytest.raises(ValueError):
-            legendre_normalized(-1, 0.0)
+        v, _ = vandermonde(np.array([-1.0, 1.0]))
+        assert v[1, 1] == pytest.approx(np.sqrt(1.5), abs=1e-15)
 
     @pytest.mark.parametrize("n", [3, 8, 24])
     def test_discrete_orthonormality(self, n):
         """<L_j, L_k> = delta_jk under LGL quadrature while j + k <= 2n - 1."""
         nodes, weights = lgl_nodes_weights(n)
+        v, _ = vandermonde(nodes)
         for j in range(n + 1):
             for k in range(n + 1):
                 if j + k > 2 * n - 1:
                     continue
-                val = discrete_inner(legendre_normalized(j, nodes),
-                                     legendre_normalized(k, nodes), weights)
+                val = float(np.sum(v[:, j] * weights * v[:, k]))
                 assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-12)
 
 
@@ -133,8 +127,8 @@ class TestVandermonde:
 
     def test_modal_transform_picks_out_mode(self):
         nodes, _ = lgl_nodes_weights(7)
-        _, vinv = vandermonde(nodes)
-        coeffs = vinv @ legendre_normalized(2, nodes)
+        v, vinv = vandermonde(nodes)
+        coeffs = vinv @ v[:, 2]
         expected = np.zeros(8)
         expected[2] = 1.0
         assert np.allclose(coeffs, expected, atol=1e-13)
@@ -148,18 +142,18 @@ class TestVandermonde:
 class TestInnerProducts:
     def test_constant(self):
         _, weights = lgl_nodes_weights(5)
-        assert discrete_inner(np.ones(6), np.ones(6), weights) == pytest.approx(2.0, abs=1e-14)
+        assert discrete_norm(np.ones(6), weights) ** 2 == pytest.approx(2.0, abs=1e-14)
 
     def test_linear(self):
         # int x^2 over [-1, 1]; exact for n >= 2
         nodes, weights = lgl_nodes_weights(4)
-        assert discrete_inner(nodes, nodes, weights) == pytest.approx(2.0 / 3.0, abs=1e-14)
+        assert discrete_norm(nodes, weights) ** 2 == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     @pytest.mark.parametrize("n", [1, 4, 16, 64])
     def test_top_mode_norm(self, n):
         """The discrete norm of the top mode overshoots: ||L_n||^2 = 2 + 1/n."""
         nodes, weights = lgl_nodes_weights(n)
-        val = discrete_norm(legendre_normalized(n, nodes), weights) ** 2
+        val = discrete_norm(vandermonde(nodes)[0][:, n], weights) ** 2
         assert val == pytest.approx(2.0 + 1.0 / n, rel=1e-12)
 
 

@@ -1,5 +1,6 @@
 """Randomised invariants on drawn degrees, filter parameters and states:
-filter contractivity, the adjoint identity, the split-form Burgers energy
+filter contractivity (for the exponential profile and for any profile with
+|sigma_i| <= 1), the adjoint identity, the split-form Burgers energy
 bound, conservation of mass by the filter, the conservative-form DG
 Burgers step and the finite-volume reference solver, and byte-identical
 CSVs from repeated linear studies.
@@ -17,8 +18,8 @@ from hypothesis.extra.numpy import arrays
 
 from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import run_convergence, run_varspeed, write_csv
-from dgfilter.filters import FilterSpec, auxiliary_filter, build_filter
-from dgfilter.fv import FvConfig, solve_fv_burgers, total_mass
+from dgfilter.filters import FilterSpec, auxiliary_filter, build_filter, contractivity_spectrum
+from dgfilter.fv import FvConfig, solve_fv_burgers
 from dgfilter.operators import build_operators, discrete_norm
 from dgfilter.timestepping import RunConfig, integrate
 
@@ -50,6 +51,23 @@ def test_filter_never_grows_the_quadrature_norm(case):
     ops, spec, u = case
     fmat = build_filter(ops, spec).F
     assert discrete_norm(fmat @ u, ops.weights) <= discrete_norm(u, ops.weights) * (1.0 + 1e-12)
+
+
+@PROPERTY
+@given(st.integers(1, 128).flatmap(lambda n: arrays(
+    np.float64, n + 1, elements=st.one_of(st.just(1.0), st.floats(-1.0, 1.0)))))
+def test_any_profile_in_the_unit_interval_contracts(sig):
+    """F^T M F - M <= 0 for F = V diag(sigma) Vinv whenever every |sigma_i| <= 1:
+    with the LGL Gram matrix K = V^T M V = diag(1, ..., 1, 2 + 1/N) it is
+    Vinv^T diag((sigma_i^2 - 1) K_ii) Vinv. Nothing else of the exponential
+    profile is needed. Raising sigma_N just above 1 breaks it, and the check
+    has to see that."""
+    n = sig.size - 1
+    ops = build_operators(n)
+    tol = 1e-12 * float(np.max(ops.weights))  # verify_filter's lambda_tol
+    assert contractivity_spectrum((ops.V * sig) @ ops.Vinv, ops.weights)[-1] <= tol
+    sig[n] = 1.0 + 1e-6
+    assert contractivity_spectrum((ops.V * sig) @ ops.Vinv, ops.weights)[-1] > tol
 
 
 @PROPERTY
@@ -128,7 +146,7 @@ def test_fv_conserves_mass(case):
     cells, u0, t_final = case
     config = FvConfig(cells=cells, t_final=t_final)
     _, u, steps = solve_fv_burgers(config, lambda x: u0)
-    drift = abs(total_mass(u, config.dx) - total_mass(u0, config.dx))
+    drift = abs(float(np.sum(u) * config.dx) - float(np.sum(u0) * config.dx))
     assert drift <= steps * cells * EPS * float(np.max(np.abs(u0))) * config.dx
 
 
