@@ -370,4 +370,4 @@ def sample_nodal_on(ops: OperatorSet, problem: ProblemSpec, u: np.ndarray,
     """Evaluate a nodal DG solution at arbitrary physical points."""
     x_l, x_r = problem.domain
     xi = 2.0 * (x_targets - x_l) / (x_r - x_l) - 1.0
-    return interpolation_matrix(ops.nodes, xi) @ u
+    return interpolation_matrix(ops.nodes, xi, ops.weights) @ u

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Degree cap: keeps the Newton solve, barycentric weights and Vandermonde
-# inversion comfortably inside double-precision conditioning.
+# Degree cap: keeps the Newton solve, the barycentric weights and the Gram
+# identity behind Vinv comfortably inside double-precision roundoff.
 MAX_DEGREE = 512
 
 _NEWTON_TOL = 1e-15
@@ -27,7 +27,8 @@ class OperatorSet:
     weights : N+1 positive quadrature weights, the diagonal of the mass matrix
     D : dense nodal differentiation matrix
     V : Vandermonde matrix of the normalized Legendre basis at the nodes
-    Vinv : inverse of V (nodal -> modal transform)
+    Vinv : inverse of V (nodal -> modal transform), K^-1 V^T M by the LGL
+        Gram identity V^T M V = K = diag(1, ..., 1, 2 + 1/N)
     """
 
     N: int
@@ -104,74 +105,66 @@ def _legendre_table(n: int, x: np.ndarray) -> np.ndarray:
     return tab * np.sqrt(np.arange(n + 1) + 0.5)
 
 
-def _lgl_barycentric_weights(x: np.ndarray) -> np.ndarray:
-    """Barycentric weights of the LGL nodes ``x``, up to a common factor.
+def _barycentric_weights(weights: np.ndarray) -> np.ndarray:
+    """Barycentric weights (-1)^j sqrt(w_j) of an LGL rule, up to a common factor.
 
-    The node polynomial is c (1 - x^2) P_N'(x), and by Legendre's equation
-    its derivative at a node is -c N (N + 1) P_N(x_j). So the weights
-    1 / prod_k (x_j - x_k) are proportional to 1 / P_N(x_j), which avoids
-    the roundoff that the N-factor products gather at high degree.
+    By Legendre's equation the weights 1 / prod_k (x_j - x_k) are
+    proportional to 1 / P_N(x_j), and w_j = 2 / (N (N + 1) P_N(x_j)^2) with
+    P_N alternating in sign over the nodes. This avoids the roundoff that
+    the N-factor products gather at high degree.
     """
-    return 1.0 / _legendre_pair(x.size - 1, x)[0]
+    bw = np.sqrt(np.asarray(weights, dtype=float))
+    bw[1::2] *= -1.0
+    return bw
 
 
-def derivative_matrix(nodes: np.ndarray) -> np.ndarray:
+def derivative_matrix(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Nodal differentiation matrix at the LGL nodes via barycentric weights.
 
-    Entry (i, j) is the derivative of the j-th Lagrange cardinal polynomial
-    at node i. Diagonal entries use the negative-sum trick, which pins the
-    row sums (the derivative of a constant) at the roundoff floor.
+    Needs the LGL rule: the barycentric weights come from its quadrature
+    ``weights``. Entry (i, j) is the derivative of the j-th Lagrange
+    cardinal polynomial at node i. Diagonal entries use the negative-sum
+    trick, which pins the row sums (the derivative of a constant) at the
+    roundoff floor.
     """
     x = np.asarray(nodes, dtype=float)
-    m = x.size
     diff = x[:, None] - x[None, :]
-    off = ~np.eye(m, dtype=bool)
-    if np.any(diff[off] == 0.0):
+    if np.any(diff[~np.eye(x.size, dtype=bool)] == 0.0):
         raise ValueError("duplicate nodes")
     np.fill_diagonal(diff, 1.0)
-    w = _lgl_barycentric_weights(x)
+    w = _barycentric_weights(weights)
     dmat = (w[None, :] / w[:, None]) / diff
     np.fill_diagonal(dmat, 0.0)
     np.fill_diagonal(dmat, -np.sum(dmat, axis=1))
     return dmat
 
 
-def vandermonde(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def vandermonde(nodes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vandermonde matrix of the normalized Legendre basis and its inverse.
 
-    V maps modal coefficients to nodal values; Vinv is obtained by LU-based
-    solves against the identity rather than an explicit inversion formula.
+    V maps modal coefficients to nodal values. Needs the LGL rule: its Gram
+    matrix V^T M V is K = diag(1, ..., 1, 2 + 1/N), M = diag(weights), so
+    Vinv = K^-1 V^T M with no linear solve. ``ops check`` measures
+    V Vinv - I on its own.
     """
-    x = np.asarray(nodes, dtype=float)
-    n = x.size - 1
-    vmat = _legendre_table(n, x)
-    ident = np.eye(n + 1)
-    try:
-        vinv = np.linalg.solve(vmat, ident)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            f"Vandermonde matrix numerically singular at degree {n} "
-            f"(condition estimate {np.linalg.cond(vmat):.3e})"
-        ) from exc
-    resid = np.max(np.abs(vmat @ vinv - ident))
-    if resid > 1e-8:
-        raise ArithmeticError(
-            f"Vandermonde inversion residual {resid:.3e} at degree {n} "
-            f"(condition estimate {np.linalg.cond(vmat):.3e})"
-        )
-    return vmat, vinv
+    n = len(nodes) - 1
+    vmat = _legendre_table(n, np.asarray(nodes, dtype=float))
+    gram = np.ones(n + 1)
+    gram[n] = 2.0 + 1.0 / n
+    return vmat, (vmat.T * weights) / gram[:, None]
 
 
-def interpolation_matrix(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def interpolation_matrix(nodes: np.ndarray, targets: np.ndarray,
+                         weights: np.ndarray) -> np.ndarray:
     """Matrix evaluating the nodal interpolant on the LGL ``nodes`` at arbitrary points.
 
-    Second-form barycentric interpolation; target points that coincide with
-    a node reproduce the nodal value exactly.
+    Second-form barycentric interpolation with the barycentric weights of
+    the LGL quadrature ``weights``; target points that coincide with a node
+    reproduce the nodal value exactly.
     """
     x = np.asarray(nodes, dtype=float)
     xt = np.asarray(targets, dtype=float)
-    w = _lgl_barycentric_weights(x)
-
+    w = _barycentric_weights(weights)
     dist = xt[:, None] - x[None, :]
     hit = dist == 0.0
     dist[hit] = 1.0
@@ -208,8 +201,8 @@ def build_operators(n: int, check: bool = True) -> OperatorSet:
     roundoff before returning.
     """
     nodes, weights = lgl_nodes_weights(n)
-    dmat = derivative_matrix(nodes)
-    vmat, vinv = vandermonde(nodes)
+    dmat = derivative_matrix(nodes, weights)
+    vmat, vinv = vandermonde(nodes, weights)
     ops = OperatorSet(N=n, nodes=nodes, weights=weights, D=dmat, V=vmat, Vinv=vinv)
     if check:
         resid = sbp_residual(ops)

@@ -14,6 +14,9 @@ RK3_A = (0.0, -5.0 / 9.0, -153.0 / 128.0)
 RK3_B = (1.0 / 3.0, 15.0 / 16.0, 8.0 / 15.0)
 RK3_C = (0.0, 1.0 / 3.0, 3.0 / 4.0)
 
+# Step cap for a fixed dt: t_final / dt start times are held in memory.
+MAX_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class FilterSchedule:
@@ -45,6 +48,8 @@ class RunConfig:
             raise ValueError("final time must be positive and finite")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
+        if self.dt is not None and self.t_final / self.dt > MAX_STEPS:
+            raise ValueError(f"t_final / dt exceeds the step cap {MAX_STEPS}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 

@@ -65,6 +65,9 @@ class TestExitCodes:
                      id="convergence-nan-dt"),
         pytest.param(["varspeed", "--n", "16", "--dt", "inf", "--out", "{tmp}/v.csv"],
                      id="varspeed-inf-dt"),
+        # 4e9 fixed steps: the step schedule alone would exhaust memory
+        pytest.param(["varspeed", "--n", "16", "--dt", "1e-9", "--out", "{tmp}/v.csv"],
+                     id="varspeed-tiny-dt"),
         pytest.param(["filter", "verify", "--n", "8", "--alpha", "nan"], id="filter-nan-alpha"),
     ])
     def test_rejected_input_is_exit_two_with_one_line(self, argv, tmp_path, capsys,
@@ -91,14 +94,30 @@ class TestExitCodes:
     def test_tolerance_failure_stays_exit_one(self, capsys, monkeypatch):
         derivative_matrix = operators.derivative_matrix
 
-        def perturbed(nodes):
-            dmat = derivative_matrix(nodes)
+        def perturbed(nodes, weights):
+            dmat = derivative_matrix(nodes, weights)
             dmat[0, 0] += 1e-9
             return dmat
 
         monkeypatch.setattr(operators, "derivative_matrix", perturbed)
         assert main(["ops", "check", "--n", "16"]) == 1
         assert capsys.readouterr().out.rstrip().endswith("FAIL")
+
+    def test_ops_check_measures_the_gram_inverse(self, capsys, monkeypatch):
+        # Vinv is built from the Gram identity of the weights, so a weight off
+        # the LGL rule must show in the printed V Vinv - I, not pass silently
+        lgl_nodes_weights = operators.lgl_nodes_weights
+
+        def perturbed(n):
+            nodes, weights = lgl_nodes_weights(n)
+            weights[n // 2] *= 1.0 + 1e-9
+            return nodes, weights
+
+        monkeypatch.setattr(operators, "lgl_nodes_weights", perturbed)
+        assert main(["ops", "check", "--n", "16"]) == 1
+        out = capsys.readouterr().out
+        line = next(ln for ln in out.splitlines() if ln.startswith("V Vinv - I max"))
+        assert float(line.split(":")[1]) > 1e-11  # its tolerance at N <= 64
 
 
 class TestCsvOutputs:

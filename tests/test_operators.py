@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dgfilter.operators import (
+    _barycentric_weights,
     build_operators,
     derivative_matrix,
     discrete_norm,
@@ -14,6 +15,9 @@ from dgfilter.operators import (
     sbp_residual,
     vandermonde,
 )
+
+# the degrees the benchmark's verify sweep runs: 1..64 and a spread up to 512
+SWEEP_NS = (*range(1, 65), *sorted({*range(96, 513, 32), 397, 440, 498, 504, 507}))
 
 
 class TestNodesWeights:
@@ -67,14 +71,14 @@ class TestLegendreNormalized:
     """The normalized Legendre basis: the columns of the Vandermonde matrix."""
 
     def test_mode_one_at_right_endpoint(self):
-        v, _ = vandermonde(np.array([-1.0, 1.0]))
+        v, _ = vandermonde(np.array([-1.0, 1.0]), np.ones(2))
         assert v[1, 1] == pytest.approx(np.sqrt(1.5), abs=1e-15)
 
     @pytest.mark.parametrize("n", [3, 8, 24])
     def test_discrete_orthonormality(self, n):
         """<L_j, L_k> = delta_jk under LGL quadrature while j + k <= 2n - 1."""
         nodes, weights = lgl_nodes_weights(n)
-        v, _ = vandermonde(nodes)
+        v, _ = vandermonde(nodes, weights)
         for j in range(n + 1):
             for k in range(n + 1):
                 if j + k > 2 * n - 1:
@@ -85,27 +89,27 @@ class TestLegendreNormalized:
 
 class TestDerivativeMatrix:
     def test_degree_one_hand_derived(self):
-        d = derivative_matrix(np.array([-1.0, 1.0]))
+        d = derivative_matrix(np.array([-1.0, 1.0]), np.ones(2))
         assert np.array_equal(d, [[-0.5, 0.5], [-0.5, 0.5]])
 
     def test_constant_derivative_vanishes(self):
         # rows sum to zero by construction; the matvec reorders the sum so
         # only the roundoff floor remains
-        nodes, _ = lgl_nodes_weights(12)
-        assert np.max(np.abs(derivative_matrix(nodes) @ np.ones(13))) <= 1e-13
+        nodes, weights = lgl_nodes_weights(12)
+        assert np.max(np.abs(derivative_matrix(nodes, weights) @ np.ones(13))) <= 1e-13
 
     def test_identity_derivative(self):
-        nodes, _ = lgl_nodes_weights(9)
-        assert np.allclose(derivative_matrix(nodes) @ nodes, np.ones(10), atol=1e-13)
+        nodes, weights = lgl_nodes_weights(9)
+        assert np.allclose(derivative_matrix(nodes, weights) @ nodes, np.ones(10), atol=1e-13)
 
     def test_rejects_duplicate_nodes(self):
         with pytest.raises(ValueError):
-            derivative_matrix(np.array([-1.0, 0.0, 0.0, 1.0]))
+            derivative_matrix(np.array([-1.0, 0.0, 0.0, 1.0]), np.ones(4))
 
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_monomial_exactness(self, n):
-        nodes, _ = lgl_nodes_weights(n)
-        d = derivative_matrix(nodes)
+        nodes, weights = lgl_nodes_weights(n)
+        d = derivative_matrix(nodes, weights)
         worst = 0.0
         for k in range(1, n + 1):
             err = np.max(np.abs(d @ nodes**k - k * nodes ** (k - 1)))
@@ -115,28 +119,49 @@ class TestDerivativeMatrix:
 
 class TestVandermonde:
     def test_constant_column(self):
-        nodes, _ = lgl_nodes_weights(6)
-        v, _ = vandermonde(nodes)
+        nodes, weights = lgl_nodes_weights(6)
+        v, _ = vandermonde(nodes, weights)
         assert np.allclose(v[:, 0], np.sqrt(0.5), atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 8, 32, 64])
     def test_inverse(self, n):
-        nodes, _ = lgl_nodes_weights(n)
-        v, vinv = vandermonde(nodes)
+        nodes, weights = lgl_nodes_weights(n)
+        v, vinv = vandermonde(nodes, weights)
         assert np.max(np.abs(vinv @ v - np.eye(n + 1))) <= 1e-12
 
     def test_modal_transform_picks_out_mode(self):
-        nodes, _ = lgl_nodes_weights(7)
-        v, vinv = vandermonde(nodes)
+        nodes, weights = lgl_nodes_weights(7)
+        v, vinv = vandermonde(nodes, weights)
         coeffs = vinv @ v[:, 2]
         expected = np.zeros(8)
         expected[2] = 1.0
         assert np.allclose(coeffs, expected, atol=1e-13)
 
-    def test_singular_input_reports_conditioning(self):
-        # coincident points make the basis evaluation matrix rank deficient
-        with pytest.raises(ArithmeticError, match="condition"):
-            vandermonde(np.zeros(5))
+    @pytest.mark.parametrize("n", SWEEP_NS)
+    def test_gram_inverse_matches_lu(self, n):
+        """Vinv = K^-1 V^T M agrees with an LU solve against the identity."""
+        ops = build_operators(n)
+        lu = np.linalg.solve(ops.V, np.eye(n + 1))
+        assert np.max(np.abs(ops.Vinv - lu)) <= 1e-13
+
+    def test_trapezoid_weights_break_the_identity(self):
+        # negative control: the Gram identity, and so Vinv, needs the LGL rule
+        n = 16
+        nodes = lgl_nodes_weights(n)[0]
+        w = np.empty(n + 1)
+        w[0], w[-1] = 0.5 * (nodes[1] - nodes[0]), 0.5 * (nodes[-1] - nodes[-2])
+        w[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
+        v, vinv = vandermonde(nodes, w)
+        assert np.max(np.abs(v @ vinv - np.eye(n + 1))) > 1e-6
+
+
+class TestBarycentricWeights:
+    @pytest.mark.parametrize("n", SWEEP_NS)
+    def test_proportional_to_reciprocal_top_mode(self, n):
+        """(-1)^j sqrt(w_j) is a constant multiple of 1 / P_N(x_j), signs included."""
+        ops = build_operators(n)
+        ratio = _barycentric_weights(ops.weights) * ops.V[:, n]
+        assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-14
 
 
 class TestInnerProducts:
@@ -153,7 +178,7 @@ class TestInnerProducts:
     def test_top_mode_norm(self, n):
         """The discrete norm of the top mode overshoots: ||L_n||^2 = 2 + 1/n."""
         nodes, weights = lgl_nodes_weights(n)
-        val = discrete_norm(vandermonde(nodes)[0][:, n], weights) ** 2
+        val = discrete_norm(vandermonde(nodes, weights)[0][:, n], weights) ** 2
         assert val == pytest.approx(2.0 + 1.0 / n, rel=1e-12)
 
 
@@ -191,13 +216,13 @@ class TestSbp:
 
 class TestInterpolation:
     def test_reproduces_polynomials(self):
-        nodes, _ = lgl_nodes_weights(10)
+        nodes, weights = lgl_nodes_weights(10)
         xt = np.linspace(-1, 1, 57)
-        mat = interpolation_matrix(nodes, xt)
+        mat = interpolation_matrix(nodes, xt, weights)
         assert np.allclose(mat @ nodes**7, xt**7, atol=1e-12)
 
     def test_exact_hits(self):
-        nodes, _ = lgl_nodes_weights(6)
-        mat = interpolation_matrix(nodes, nodes[[0, 3, 6]])
+        nodes, weights = lgl_nodes_weights(6)
+        mat = interpolation_matrix(nodes, nodes[[0, 3, 6]], weights)
         u = np.sin(nodes)
         assert np.array_equal(mat @ u, u[[0, 3, 6]])

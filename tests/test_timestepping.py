@@ -9,7 +9,7 @@ from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import gaussian_pulse
 from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.operators import build_operators, discrete_norm
-from dgfilter.timestepping import FilterSchedule, RunConfig, integrate, rk3_step
+from dgfilter.timestepping import MAX_STEPS, FilterSchedule, RunConfig, integrate, rk3_step
 
 
 def decay(u, t):
@@ -63,9 +63,15 @@ class TestRunConfig:
         for bad in [dict(t_final=-1.0, dt=0.1), dict(t_final=1.0, dt=0.1, record_every=0),
                     dict(t_final=math.nan, dt=0.1), dict(t_final=math.inf, dt=0.1),
                     dict(t_final=1.0, dt=math.nan), dict(t_final=1.0, dt=math.inf),
-                    dict(t_final=1.0, dt=0.0)]:
+                    dict(t_final=1.0, dt=0.0), dict(t_final=1.0, dt=1e-17)]:
             with pytest.raises(ValueError):
                 RunConfig(**bad)
+
+    def test_step_cap(self):
+        # exactly MAX_STEPS fixed steps are accepted, twice as many are not
+        assert RunConfig(t_final=1.0, dt=1.0 / MAX_STEPS).dt == 1.0 / MAX_STEPS
+        with pytest.raises(ValueError, match="step cap"):
+            RunConfig(t_final=1.0, dt=0.5 / MAX_STEPS)
 
 
 class TestFilterSchedule:
