@@ -103,13 +103,19 @@ def rk3_affine_step(lmat: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
 def fixed_steps(t_final: float, dt: float) -> tuple[np.ndarray, float]:
     """Start times of the steps :func:`integrate` takes from t = 0 at fixed ``dt``,
     and the size of the last one, which is shorter than ``dt`` when the steps
-    would overshoot ``t_final``."""
+    would overshoot ``t_final``.
+
+    ``np.cumsum`` accumulates the start times in order, as ``t += dt`` does.
+    The candidates run at least one ``dt`` past ``t_final``, more than their
+    rounding within ``MAX_STEPS``; ``integrate``'s rule ``t < t_final - eps``
+    keeps a prefix of them.
+    """
     eps = 1e-12 * max(1.0, abs(t_final))
-    t, starts = 0.0, []
-    while t < t_final - eps:
-        starts.append(t)
-        t += min(dt, t_final - t)
-    return np.array(starts), min(dt, t_final - starts[-1]) if starts else dt
+    starts = np.full(int(t_final / dt) + 3, dt)
+    starts[0] = 0.0
+    np.cumsum(starts, out=starts)
+    starts = starts[:np.searchsorted(starts, t_final - eps)]
+    return starts, min(dt, t_final - float(starts[-1])) if starts.size else dt
 
 
 def _default_crash_check(u) -> bool:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dgfilter import experiments
 from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import (
     BURGERS_VARIANTS,
@@ -191,6 +192,34 @@ class TestBurgersDriver:
         assert len(res.trajectory.filter_events) == 4
         for _, before, after in res.trajectory.filter_events:
             assert after <= before * (1.0 + 1e-12)
+
+
+    def test_crash_check_tests_the_energy(self, monkeypatch):
+        """A non-finite state, a finite one whose energy overflows, and an
+        energy blow-up are crashes; the initial state is not."""
+        captured = {}
+
+        class Captured(Exception):
+            pass
+
+        def capture(u0, rhs, config, **kwargs):
+            captured.update(kwargs, u0=u0)
+            raise Captured
+
+        monkeypatch.setattr(experiments, "integrate", capture)
+        with pytest.raises(Captured):
+            run_burgers("cons_unfiltered", n=16)
+        check, u0 = captured["crash_check"], captured["u0"]
+        assert check(u0) is False
+        assert check(100.0 * u0) is False  # energy 1e4 times the initial one
+        assert check(1e4 * u0) is True     # 1e8 times: beyond BLOWUP_FACTOR
+        for bad in (np.nan, np.inf, -np.inf):
+            u = u0.copy()
+            u[5] = bad
+            with np.errstate(invalid="ignore"):
+                assert check(u) is True
+        with np.errstate(over="ignore"):
+            assert check(np.full_like(u0, 1e200)) is True
 
 
 class TestFvDriver:

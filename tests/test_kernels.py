@@ -1,0 +1,109 @@
+"""The Burgers kernels and the FV sweep against straightforward references.
+
+The references below are the plain numpy forms of the same arithmetic:
+face fluxes on numpy scalars, and an FV sweep that builds its neighbours
+with ``np.roll`` and allocates every intermediate. The kernels reorganise
+the work (Python floats at the face; one periodic ghost cell and buffers
+reused in place) without changing any floating-point operation or its
+order, so the results must be bitwise equal.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from dgfilter import kernels
+from dgfilter.operators import build_operators
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def roll_fv_burgers(u0, dx, cfl, t_end):
+    u = u0.copy()
+    t = 0.0
+    steps = 0
+    while t < t_end - 1e-14:
+        umax = float(np.max(np.abs(u)))
+        dt = t_end - t if umax <= 1e-14 else min(cfl * dx / umax, t_end - t)
+        f = 0.5 * u * u
+        ur = np.roll(u, -1)
+        fr = np.roll(f, -1)
+        lam = np.maximum(np.abs(u), np.abs(ur))
+        fface = 0.5 * (f + fr) - 0.5 * lam * (ur - u)
+        u = u - (dt / dx) * (fface - np.roll(fface, 1))
+        t += dt
+        steps += 1
+    return u, steps
+
+
+def _face_terms(dudt, u, f, w, scale):
+    lam = max(abs(u[0]), abs(u[-1]))
+    fstar = 0.5 * (f[-1] + f[0]) - 0.5 * lam * (u[0] - u[-1])
+    dudt[0] += scale * (fstar - f[0]) / w[0]
+    dudt[-1] -= scale * (fstar - f[-1]) / w[-1]
+    return dudt
+
+
+def scalar_burgers_cons_rhs(u, dmat, w, scale):
+    f = 0.5 * u * u
+    return _face_terms(-scale * (dmat @ f), u, f, w, scale)
+
+
+def scalar_burgers_skew_rhs(u, dmat, w, scale):
+    f = 0.5 * u * u
+    dudt = -scale * ((2.0 / 3.0) * (dmat @ f) + (1.0 / 3.0) * u * (dmat @ u))
+    return _face_terms(dudt, u, f, w, scale)
+
+
+BURGERS = [(kernels.burgers_cons_rhs, scalar_burgers_cons_rhs),
+           (kernels.burgers_skew_rhs, scalar_burgers_skew_rhs)]
+
+
+@PROPERTY
+@given(st.integers(2, 128).flatmap(lambda cells: arrays(
+           np.float64, cells, elements=st.floats(-1.0, 1.0))),
+       st.floats(1e-3, 1.0), st.sampled_from((0.45, 0.9)))
+@example(np.zeros(16), 0.5, 0.9)  # umax <= 1e-14: one step to t_end
+def test_fv_sweep_matches_the_roll_reference(u0, t_end, cfl):
+    dx = 2.0 / u0.size
+    u, steps = kernels.fv_burgers(u0, dx, cfl, t_end)
+    ref_u, ref_steps = roll_fv_burgers(u0, dx, cfl, t_end)
+    assert steps == ref_steps
+    assert np.array_equal(u, ref_u)
+
+
+def test_fv_sweep_takes_one_step_on_zero_data():
+    u, steps = kernels.fv_burgers(np.zeros(16), 0.125, 0.9, 0.5)
+    assert steps == 1 and np.array_equal(u, np.zeros(16))
+
+
+@st.composite
+def burgers_states(draw):
+    n = draw(st.integers(1, 128))
+    scale = draw(st.floats(1e-3, 1e3))
+    return build_operators(n), scale, draw(arrays(np.float64, n + 1, elements=st.floats(-1e3, 1e3)))
+
+
+@PROPERTY
+@given(burgers_states())
+def test_burgers_kernels_match_the_numpy_scalar_reference(case):
+    ops, scale, u = case
+    for kernel, reference in BURGERS:
+        assert np.array_equal(kernel(u, ops.D, ops.weights, scale),
+                              reference(u, ops.D, ops.weights, scale))
+
+
+@pytest.mark.parametrize("kernel, reference", BURGERS)
+@pytest.mark.parametrize("where", [0, 3, -1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_burgers_kernels_keep_a_non_finite_state_non_finite(kernel, reference, where, bad):
+    ops = build_operators(8)
+    u = np.linspace(-0.5, 0.5, 9)
+    u[where] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = kernel(u, ops.D, ops.weights, 1.0)
+        ref = reference(u, ops.D, ops.weights, 1.0)
+    assert not np.all(np.isfinite(out))
+    assert np.array_equal(out, ref, equal_nan=True)

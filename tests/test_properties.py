@@ -2,8 +2,9 @@
 filter contractivity (for the exponential profile and for any profile with
 |sigma_i| <= 1), the adjoint identity, the split-form Burgers energy
 bound, conservation of mass by the filter, the conservative-form DG
-Burgers step and the finite-volume reference solver, and byte-identical
-CSVs from repeated linear studies.
+Burgers step and the finite-volume reference solver, byte-identical
+CSVs from repeated linear studies, and CSV rows that format every double
+as the f-string ``{v:.17g}`` does.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -12,12 +13,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dgfilter.equations import ProblemSpec, make_rhs
-from dgfilter.experiments import run_convergence, run_varspeed, write_csv
+from dgfilter.experiments import ExperimentRecord, run_convergence, run_varspeed, write_csv
 from dgfilter.filters import FilterSpec, auxiliary_filter, build_filter, contractivity_spectrum
 from dgfilter.fv import FvConfig, solve_fv_burgers
 from dgfilter.operators import build_operators, discrete_norm
@@ -165,3 +166,24 @@ def test_linear_study_csv_is_byte_deterministic(study, n, dt, filtered):
         for path in paths:
             write_csv(path, [record()])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def fstring_row(experiment, variant, n, dt, t_or_n, value, extra):
+    """Reference: one CSV row formatted field by field with f-strings."""
+    return (f"{experiment},{variant},{int(n)},{dt:.17g},"
+            f"{t_or_n:.17g},{value:.17g},{extra}")
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.floats(),
+                          st.one_of(st.floats(), st.integers(-10**6, 10**6)), st.floats(),
+                          st.sampled_from(("", "energy", "crash", "solution"))),
+                min_size=1, max_size=20))
+@example([(128, np.nan, np.inf, -np.inf, "crash"), (7, -0.0, 5e-324, 2.2250738585072e-308, ""),
+          (3, 0.1, 3, 1.0 / 3.0, "energy")])
+def test_csv_rows_match_the_fstring_format(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        write_csv(path, [ExperimentRecord("burgers", "cons_unfiltered", rows=list(rows))])
+        lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[1:] == [fstring_row("burgers", "cons_unfiltered", *row) for row in rows] + [""]

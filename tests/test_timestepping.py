@@ -1,6 +1,7 @@
 """Tests for the low-storage RK3 stepper and the filtered integration loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import gaussian_pulse
 from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.operators import build_operators, discrete_norm
-from dgfilter.timestepping import MAX_STEPS, FilterSchedule, RunConfig, integrate, rk3_step
+from dgfilter.timestepping import (MAX_STEPS, FilterSchedule, RunConfig, fixed_steps, integrate,
+                                   rk3_step)
 
 
 def decay(u, t):
@@ -72,6 +74,43 @@ class TestRunConfig:
         assert RunConfig(t_final=1.0, dt=1.0 / MAX_STEPS).dt == 1.0 / MAX_STEPS
         with pytest.raises(ValueError, match="step cap"):
             RunConfig(t_final=1.0, dt=0.5 / MAX_STEPS)
+
+
+def loop_fixed_steps(t_final, dt):
+    """Reference: the step schedule built one ``t += dt`` at a time."""
+    eps = 1e-12 * max(1.0, abs(t_final))
+    t, starts = 0.0, []
+    while t < t_final - eps:
+        starts.append(t)
+        t += min(dt, t_final - t)
+    return np.array(starts), min(dt, t_final - starts[-1]) if starts else dt
+
+
+class TestFixedSteps:
+    @pytest.mark.parametrize("t_final, dt", [
+        (0.5, 4e-4), (4.0, 5e-4), (2.25, 1e-3), (1.0, 1.0 / 3.0), (4.0, 1e-5),
+        (0.3011, 2e-3),     # last step truncated
+        (0.3, 2e-3),        # last step short by roundoff
+        (0.25, 1.0 / 64),   # exact multiple
+        (0.7, 0.1),
+        (1.0, 2.0),         # one step, shorter than dt
+        (1e-13, 1e-3),      # no step at all
+    ])
+    def test_matches_the_loop(self, t_final, dt):
+        starts, h_last = fixed_steps(t_final, dt)
+        ref_starts, ref_h_last = loop_fixed_steps(t_final, dt)
+        assert np.array_equal(starts, ref_starts)
+        assert h_last == ref_h_last
+
+    def test_peak_allocation_at_a_million_steps(self):
+        tracemalloc.start()
+        try:
+            starts, _ = fixed_steps(1.0, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert starts.size == 10**6
+        assert peak < 3 * starts.nbytes
 
 
 class TestFilterSchedule:
