@@ -14,7 +14,7 @@ RK3_A = (0.0, -5.0 / 9.0, -153.0 / 128.0)
 RK3_B = (1.0 / 3.0, 15.0 / 16.0, 8.0 / 15.0)
 RK3_C = (0.0, 1.0 / 3.0, 3.0 / 4.0)
 
-# Step cap for a fixed dt: t_final / dt start times are held in memory.
+# Step cap for a fixed dt: fixed_steps holds t_final / dt start times in memory.
 MAX_STEPS = 10**7
 
 
@@ -34,22 +34,14 @@ class FilterSchedule:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Horizon, fixed step size and recording cadence.
-
-    With ``dt`` unset, :func:`integrate` asks its ``dt_fn`` for every step.
-    """
+    """Horizon and recording cadence; every step size comes from ``dt_fn``."""
 
     t_final: float
-    dt: Optional[float] = None
     record_every: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.t_final) and self.t_final > 0):
             raise ValueError("final time must be positive and finite")
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be positive and finite")
-        if self.dt is not None and self.t_final / self.dt > MAX_STEPS:
-            raise ValueError(f"t_final / dt exceeds the step cap {MAX_STEPS}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -101,15 +93,22 @@ def rk3_affine_step(lmat: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
 
 
 def fixed_steps(t_final: float, dt: float) -> tuple[np.ndarray, float]:
-    """Start times of the steps :func:`integrate` takes from t = 0 at fixed ``dt``,
-    and the size of the last one, which is shorter than ``dt`` when the steps
-    would overshoot ``t_final``.
+    """Start times of the steps :func:`integrate` takes from t = 0 with the
+    constant ``dt_fn = lambda u: dt``, and the size of the last one, which is
+    shorter than ``dt`` when the steps would overshoot ``t_final``.
 
-    ``np.cumsum`` accumulates the start times in order, as ``t += dt`` does.
-    The candidates run at least one ``dt`` past ``t_final``, more than their
-    rounding within ``MAX_STEPS``; ``integrate``'s rule ``t < t_final - eps``
-    keeps a prefix of them.
+    A fixed step is checked here: ``t_final`` and ``dt`` positive and finite,
+    and at most ``MAX_STEPS`` steps, which bounds the array. ``np.cumsum``
+    accumulates the start times in order, as ``t += dt`` does. The candidates
+    run at least one ``dt`` past ``t_final``, more than their rounding within
+    ``MAX_STEPS``; ``integrate``'s rule ``t < t_final - eps`` keeps a prefix.
     """
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError("final time must be positive and finite")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
+    if t_final / dt > MAX_STEPS:
+        raise ValueError(f"t_final / dt exceeds the step cap {MAX_STEPS}")
     eps = 1e-12 * max(1.0, abs(t_final))
     starts = np.full(int(t_final / dt) + 3, dt)
     starts[0] = 0.0
@@ -135,20 +134,20 @@ def integrate(
 ) -> Trajectory:
     """Advance ``u0`` to ``config.t_final``, filtering per ``schedule``.
 
-    Steps land exactly on the final time (the last step is truncated). The
-    step size is ``config.dt`` or, when that is unset, ``dt_fn`` of the
-    current state; exactly one of the two must be given. Without a
-    ``schedule`` nothing is filtered. Scheduled filter times snap to the
-    first step boundary at or beyond them; ``norm_fn`` (when given) is
-    evaluated before and after every filter application and recorded as a
-    filter event. A crash detected by ``crash_check`` (default: any
-    non-finite entry) truncates the run and records the crash time.
+    Steps land exactly on the final time (the last step is truncated). Every
+    step size is ``dt_fn`` of the current state, which must be given; a fixed
+    step is ``dt_fn = lambda u: dt``, whose steps :func:`fixed_steps` lists
+    and checks. Without a ``schedule`` nothing is filtered. Scheduled filter
+    times snap to the first step boundary at or beyond them; ``norm_fn``
+    (when given) is evaluated before and after every filter application and
+    recorded as a filter event. A crash detected by ``crash_check`` (default:
+    any non-finite entry) truncates the run and records the crash time.
     """
     observers = observers or {}
     if crash_check is None:
         crash_check = _default_crash_check
-    if (config.dt is None) == (dt_fn is None):
-        raise ValueError("set exactly one of config.dt and dt_fn")
+    if dt_fn is None:
+        raise ValueError("integrate takes every step size from dt_fn")
     fmat = schedule.F if schedule is not None else None
     every_step = schedule is not None and schedule.times is None
     filter_times = () if schedule is None or every_step else schedule.times
@@ -182,8 +181,7 @@ def integrate(
     eps = 1e-12 * max(1.0, abs(t_end))
 
     while t < t_end - eps:
-        dt = config.dt if config.dt is not None else float(dt_fn(u))
-        dt = min(dt, t_end - t)
+        dt = min(float(dt_fn(u)), t_end - t)
         u = rk3_step(u, t, dt, rhs)
         t += dt
         step += 1

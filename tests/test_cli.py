@@ -2,9 +2,11 @@
 
 import pytest
 
-from dgfilter import experiments, operators
+from dgfilter import cli, experiments, operators
 from dgfilter.cli import _parse_n_list, main
 from dgfilter.experiments import CSV_HEADER
+from dgfilter.filters import FilterSpec
+from dgfilter.fv import FvConfig
 
 
 class TestNListParsing:
@@ -16,6 +18,85 @@ class TestNListParsing:
 
     def test_two_part_range(self):
         assert _parse_n_list("3:6") == [3, 4, 5]
+
+    @pytest.mark.parametrize("text", ["7:9:0", "9,,11", "1:2:3:4", "7:x"])
+    def test_malformed_list_names_the_accepted_forms(self, text, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--n-list", text, "--out", str(tmp_path / "c.csv")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "_parse_n_list" not in err
+        assert "start:stop[:step] with a nonzero step, or a,b,c" in err
+
+
+class Called(Exception):
+    """Raised by a stubbed driver once it has recorded its arguments."""
+
+
+class TestDefaultsBelongToTheDrivers:
+    """The CLI passes on only the options given, so every default that applies
+    is the driver's, FvConfig's or FilterSpec's."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def stub(name):
+            def record(*args, **kwargs):
+                calls.append((name, args, kwargs))
+                raise Called
+            return record
+
+        for name in ("run_convergence", "run_varspeed", "run_burgers", "run_fv_reference"):
+            monkeypatch.setattr(experiments, name, stub(name))
+        monkeypatch.setattr(cli, "verify_filter", stub("verify_filter"))
+        return calls
+
+    def run(self, argv, calls):
+        with pytest.raises(Called):
+            main(argv)
+        return calls.pop()
+
+    @pytest.mark.parametrize("argv, driver, kwargs", [
+        (["varspeed"], "run_varspeed", {}),
+        (["convergence"], "run_convergence", {}),
+        (["burgers", "--variant", "skew_filtered"], "run_burgers",
+         {"variant": "skew_filtered"}),
+        (["varspeed", "--no-filter"], "run_varspeed", {"filtered": False}),
+        (["varspeed", "--n", "16", "--dt", "0.01"], "run_varspeed", {"n": 16, "dt": 0.01}),
+        (["convergence", "--n-list", "7,9", "--dt", "0.002"], "run_convergence",
+         {"n_list": [7, 9], "dt": 0.002}),
+        (["burgers", "--variant", "cons_filtered", "--n", "24", "--filter-count", "3",
+          "--cfl", "0.2"], "run_burgers",
+         {"variant": "cons_filtered", "n": 24, "filter_count": 3, "cfl": 0.2}),
+    ])
+    def test_study_gets_only_the_given_options(self, argv, driver, kwargs, tmp_path, calls):
+        out = str(tmp_path / "s.csv")
+        assert self.run(argv + ["--out", out], calls) == (driver, (), kwargs)
+
+    @pytest.mark.parametrize("argv, config", [
+        ([], FvConfig()),
+        (["--cells", "200", "--cfl", "0.5"], FvConfig(cells=200, cfl=0.5)),
+    ])
+    def test_fv_reference_gets_the_config_default(self, argv, config, tmp_path, calls):
+        out = str(tmp_path / "f.csv")
+        assert self.run(["fv-reference", *argv, "--out", out], calls) == (
+            "run_fv_reference", (config,), {})
+
+    @pytest.mark.parametrize("argv, spec", [
+        ([], FilterSpec()),
+        (["--no-clip"], FilterSpec(clip_highest=False)),
+        (["--alpha", "20", "--s", "8", "--nc", "2"], FilterSpec(alpha=20.0, s=8, nc=2)),
+    ])
+    def test_filter_verify_gets_the_spec_default(self, argv, spec, calls):
+        name, (ops, got), kwargs = self.run(["filter", "verify", "--n", "12", *argv], calls)
+        assert (name, ops.N, got, kwargs) == ("verify_filter", 12, spec, {})
+
+    def test_cached_parser_carries_nothing_over(self, tmp_path, calls):
+        out = str(tmp_path / "v.csv")
+        assert cli.build_parser() is cli.build_parser()
+        assert self.run(["varspeed", "--no-filter", "--out", out], calls)[2] == {"filtered": False}
+        assert self.run(["varspeed", "--out", out], calls)[2] == {}
 
 
 class TestExitCodes:

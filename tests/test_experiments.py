@@ -105,6 +105,10 @@ class TestConvergenceDriver:
         with pytest.raises(ValueError):
             run_convergence([4, 8], dt=1e-3)
 
+    def test_rejects_an_empty_degree_list(self):
+        with pytest.raises(ValueError, match="at least one degree"):
+            run_convergence([], dt=1e-3)
+
     def test_rows_carry_parameters(self):
         res = run_convergence([8], dt=1e-2)
         n, dt, t_or_n, value, extra = res.record.rows[0]
@@ -120,6 +124,17 @@ class TestVarspeedDriver:
         assert res.linf_error <= 0.05
         kinds = {extra for *_, extra in res.record.rows}
         assert kinds == {"solution", "linf_error", "total_variation"}
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0, 1e-12])
+    def test_bad_dt_fails_before_operator_work(self, dt, monkeypatch):
+        def never_called(*args, **kwargs):
+            raise AssertionError("operators were built for a rejected dt")
+
+        monkeypatch.setattr(experiments, "build_operators", never_called)
+        with pytest.raises(ValueError, match="dt"):
+            run_varspeed(dt=dt)
+        with pytest.raises(ValueError, match="dt"):
+            run_convergence([7], dt=dt)
 
 
 def linear_case(kind, calls):
@@ -153,15 +168,16 @@ class TestLinearPropagator:
     ])
     def test_matches_integrate(self, kind, filtered, t_final, dt):
         spec = FilterSpec() if filtered else None
-        config = RunConfig(t_final=t_final, dt=dt, record_every=10**9)
         prop_calls, ref_calls = [], []
         problem, n, u0_fn, exact_fn = linear_case(kind, prop_calls)
-        x, u, err = _run_linear(problem, n, u0_fn, exact_fn, config, spec)
+        x, u, err = _run_linear(problem, n, u0_fn, exact_fn, t_final, dt, spec)
 
         problem, n, u0_fn, exact_fn = linear_case(kind, ref_calls)
         ops = build_operators(n)
         schedule = None if spec is None else FilterSchedule(build_filter(ops, spec).F)
-        traj = integrate(u0_fn(x), make_rhs(problem, ops), config, schedule=schedule)
+        traj = integrate(u0_fn(x), make_rhs(problem, ops),
+                         RunConfig(t_final=t_final, record_every=10**9), schedule=schedule,
+                         dt_fn=lambda u: dt)
 
         # same steps: the inflow is asked for at the same stage times
         assert len(prop_calls) == 3 * traj.n_steps

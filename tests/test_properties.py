@@ -127,7 +127,8 @@ def test_conservative_burgers_conserves_mass(case):
     problem = ProblemSpec(pde="burgers_conservative", domain=(0.0, 2.0))
     umax0 = max(float(np.max(np.abs(u0))), 1e-3)
     dt = 0.02 * 0.5 * problem.dx * float(np.min(np.diff(ops.nodes))) / umax0
-    traj = integrate(u0, make_rhs(problem, ops), RunConfig(t_final=100 * dt, dt=dt),
+    traj = integrate(u0, make_rhs(problem, ops), RunConfig(t_final=100 * dt),
+                     dt_fn=lambda u: dt,
                      observers={"mass": lambda t, u: float(np.sum(ops.weights * u)),
                                 "umax": lambda t, u: float(np.max(np.abs(u)))})
     assert not traj.crashed

@@ -55,25 +55,16 @@ class TestRk3Step:
 
 
 class TestRunConfig:
-    def test_requires_exactly_one_step_policy(self):
-        # the step size comes from config.dt or from dt_fn, never both
-        with pytest.raises(ValueError):
-            integrate(np.ones(2), lambda u, t: -u, RunConfig(t_final=1.0, dt=0.1),
-                      dt_fn=lambda u: 0.1)
+    def test_holds_no_step_size(self):
+        # every step size comes from integrate's dt_fn, a fixed one as well
+        with pytest.raises(TypeError):
+            RunConfig(t_final=1.0, dt=0.1)
 
     def test_rejects_bad_values(self):
-        for bad in [dict(t_final=-1.0, dt=0.1), dict(t_final=1.0, dt=0.1, record_every=0),
-                    dict(t_final=math.nan, dt=0.1), dict(t_final=math.inf, dt=0.1),
-                    dict(t_final=1.0, dt=math.nan), dict(t_final=1.0, dt=math.inf),
-                    dict(t_final=1.0, dt=0.0), dict(t_final=1.0, dt=1e-17)]:
+        for bad in [dict(t_final=-1.0), dict(t_final=1.0, record_every=0),
+                    dict(t_final=math.nan), dict(t_final=math.inf)]:
             with pytest.raises(ValueError):
                 RunConfig(**bad)
-
-    def test_step_cap(self):
-        # exactly MAX_STEPS fixed steps are accepted, twice as many are not
-        assert RunConfig(t_final=1.0, dt=1.0 / MAX_STEPS).dt == 1.0 / MAX_STEPS
-        with pytest.raises(ValueError, match="step cap"):
-            RunConfig(t_final=1.0, dt=0.5 / MAX_STEPS)
 
 
 def loop_fixed_steps(t_final, dt):
@@ -101,6 +92,23 @@ class TestFixedSteps:
         ref_starts, ref_h_last = loop_fixed_steps(t_final, dt)
         assert np.array_equal(starts, ref_starts)
         assert h_last == ref_h_last
+
+    @pytest.mark.parametrize("t_final, dt", [
+        (-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1), (0.0, 0.1),
+        (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1.0), (1.0, 1e-17),
+    ])
+    def test_rejects_bad_values(self, t_final, dt):
+        with pytest.raises(ValueError):
+            fixed_steps(t_final, dt)
+
+    def test_step_cap(self):
+        # MAX_STEPS steps of dt pass the cap, twice as many do not. The count
+        # is not asserted: the cumulative roundoff of t += dt leaves a 2.5e-10
+        # sliver before t_final, which takes one more step, as integrate does
+        starts, _ = fixed_steps(1.0, 1.0 / MAX_STEPS)
+        assert starts.size >= MAX_STEPS
+        with pytest.raises(ValueError, match="step cap"):
+            fixed_steps(1.0, 0.5 / MAX_STEPS)
 
     def test_peak_allocation_at_a_million_steps(self):
         tracemalloc.start()
@@ -137,7 +145,7 @@ def advection_setup(n=24, g=None):
 class TestIntegrate:
     def test_lands_exactly_on_final_time(self):
         traj = integrate(np.ones(3), lambda u, t: -u,
-                         RunConfig(t_final=0.35, dt=0.1))
+                         RunConfig(t_final=0.35), dt_fn=lambda u: 0.1)
         assert traj.t_final == pytest.approx(0.35, abs=1e-14)
         assert traj.n_steps == 4
 
@@ -145,7 +153,7 @@ class TestIntegrate:
         problem, ops, x = advection_setup()
         rhs = make_rhs(problem, ops)
         u0 = gaussian_pulse(x, 0.0)
-        traj = integrate(u0, rhs, RunConfig(t_final=0.1, dt=0.01))
+        traj = integrate(u0, rhs, RunConfig(t_final=0.1), dt_fn=lambda u: 0.01)
 
         u, t = u0.copy(), 0.0
         for _ in range(10):
@@ -159,7 +167,7 @@ class TestIntegrate:
         u0 = gaussian_pulse(x, 0.25)  # pulse centered inside the domain
         traj = integrate(
             u0, make_rhs(problem, ops),
-            RunConfig(t_final=0.5, dt=1e-3, record_every=25),
+            RunConfig(t_final=0.5, record_every=25), dt_fn=lambda u: 1e-3,
             schedule=FilterSchedule(fm.F),
             observers={"norm": lambda t, u: discrete_norm(u, ops.weights)},
         )
@@ -171,7 +179,7 @@ class TestIntegrate:
         fm = build_filter(ops, FilterSpec(nc=2))
         traj = integrate(
             gaussian_pulse(x, 0.0), make_rhs(problem, ops),
-            RunConfig(t_final=0.4, dt=0.03),
+            RunConfig(t_final=0.4), dt_fn=lambda u: 0.03,
             schedule=FilterSchedule(fm.F, times=(0.1, 0.2, 0.4)),
             norm_fn=lambda u: discrete_norm(u, ops.weights),
         )
@@ -185,20 +193,20 @@ class TestIntegrate:
     def test_crash_returns_partial_series(self):
         # blow-up ODE passes through inf to nan within the horizon
         traj = integrate(np.array([1.0]), lambda u, t: u * u * 1e3,
-                         RunConfig(t_final=1.0, dt=0.05))
+                         RunConfig(t_final=1.0), dt_fn=lambda u: 0.05)
         assert traj.crashed
         assert traj.crash_time is not None and traj.crash_time < 1.0
         assert traj.times[-1] == pytest.approx(traj.crash_time)
 
     def test_custom_crash_check(self):
         traj = integrate(np.array([1.0]), lambda u, t: u,
-                         RunConfig(t_final=2.0, dt=0.1),
+                         RunConfig(t_final=2.0), dt_fn=lambda u: 0.1,
                          crash_check=lambda u: float(np.max(u)) > 2.0)
         assert traj.crashed and traj.crash_time < 1.5
 
     def test_cfl_stepping_needs_dt_fn(self):
-        # without a fixed dt the step size must come from dt_fn
-        with pytest.raises(ValueError):
+        # the config holds no step size, so without dt_fn there is none
+        with pytest.raises(ValueError, match="dt_fn"):
             integrate(np.ones(2), lambda u, t: -u, RunConfig(t_final=1.0))
 
     def test_dt_fn_sets_each_step(self):
@@ -212,12 +220,12 @@ class TestIntegrate:
         fm = build_filter(ops, FilterSpec(nc=2))
         with pytest.raises(ValueError):
             integrate(np.ones(5), lambda u, t: -u,
-                      RunConfig(t_final=1.0, dt=0.1),
+                      RunConfig(t_final=1.0), dt_fn=lambda u: 0.1,
                       schedule=FilterSchedule(fm.F, times=(0.5, 1.5)))
 
     def test_record_cadence(self):
         traj = integrate(np.ones(2), lambda u, t: -u,
-                         RunConfig(t_final=1.0, dt=0.1, record_every=2),
+                         RunConfig(t_final=1.0, record_every=2), dt_fn=lambda u: 0.1,
                          observers={"sum": lambda t, u: float(np.sum(u))})
         # t = 0 plus every other step boundary
         assert np.allclose(traj.times, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-12)
