@@ -5,7 +5,7 @@ Each driver returns a result object holding the raw arrays plus an
 ``experiment,variant,N,dt,t_or_N,value,extra``. Rows carry their full
 parameter tuple so the files are self-describing, and nothing
 time-of-day-dependent is written, so identical invocations produce
-byte-identical output.
+byte-identical output at the same BLAS thread count.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .equations import ProblemSpec, make_rhs
 from .filters import FilterSpec, build_filter
 from .fv import FvConfig, solve_fv_burgers
 from .operators import OperatorSet, build_operators, interpolation_matrix
-from .timestepping import (RK3_C, FilterSchedule, RunConfig, Trajectory, fixed_steps, integrate,
+from .timestepping import (MAX_STEPS, RK3_C, FilterSchedule, Trajectory, fixed_steps, integrate,
                            rk3_affine_step)
 
 CSV_HEADER = "experiment,variant,N,dt,t_or_N,value,extra"
@@ -277,20 +277,23 @@ class BurgersResult:
 
 def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
                 cfl: float = 0.4, t_final: float = 2.25,
-                filter_spec: FilterSpec = FilterSpec(),
-                record_every: int = 1) -> BurgersResult:
+                filter_spec: FilterSpec = FilterSpec()) -> BurgersResult:
     """One Burgers variant on [0, 2], periodic, CFL-adaptive stepping.
 
     Filtered variants apply the filter at ``filter_count`` equally spaced
-    times (snapped to step boundaries). The normalized energy history is
-    recorded; a crash (non-finite state or energy blow-up) ends the run and
-    is recorded as data, not an error.
+    times (snapped to step boundaries). ``t_final`` and ``1 <= filter_count
+    <= MAX_STEPS`` are checked before any operator work. The energy is
+    recorded after every step; a crash (non-finite state or energy blow-up)
+    ends the run and is recorded as data, not an error.
     """
     if variant not in BURGERS_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if not (math.isfinite(cfl) and cfl > 0):
         raise ValueError("cfl must be positive and finite")
-    config = RunConfig(t_final=t_final, record_every=record_every)
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError("final time must be positive and finite")
+    if not 1 <= filter_count <= MAX_STEPS:
+        raise ValueError(f"filter count must lie in [1, {MAX_STEPS}], got {filter_count}")
     pde = "burgers_conservative" if variant.startswith("cons") else "burgers_skew"
     filtered = variant.endswith("_filtered")
     problem = ProblemSpec(pde=pde, domain=(0.0, 2.0))
@@ -312,7 +315,7 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
 
     schedule = None
     if filtered:
-        times = tuple(t_final * (k + 1) / filter_count for k in range(filter_count))
+        times = t_final * np.arange(1, filter_count + 1) / filter_count
         schedule = FilterSchedule(build_filter(ops, filter_spec).F, times=times)
 
     h_min = min_node_spacing(ops, problem)
@@ -330,7 +333,7 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
     traj = integrate(
         u0,
         make_rhs(problem, ops),
-        config,
+        t_final,
         schedule=schedule,
         observers={"energy": lambda t, u: phys_energy(u) / e0},
         norm_fn=phys_energy,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -20,30 +20,16 @@ MAX_STEPS = 10**7
 
 @dataclass(frozen=True)
 class FilterSchedule:
-    """Apply the nodal filter ``F`` after every step, or at ``times`` when given."""
+    """Apply the nodal filter ``F`` at the first step boundary at or beyond
+    each of ``times``, a strictly increasing sequence of positive times."""
 
     F: np.ndarray
-    times: Optional[tuple[float, ...]] = None
+    times: Sequence[float]
 
     def __post_init__(self):
-        if self.times is not None:
-            ts = np.asarray(self.times, dtype=float)
-            if ts.size == 0 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
-                raise ValueError("filter times must be strictly increasing and positive")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Horizon and recording cadence; every step size comes from ``dt_fn``."""
-
-    t_final: float
-    record_every: int = 1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t_final) and self.t_final > 0):
-            raise ValueError("final time must be positive and finite")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        ts = np.asarray(self.times, dtype=float)
+        if ts.size == 0 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
+            raise ValueError("filter times must be strictly increasing and positive")
 
 
 @dataclass
@@ -124,43 +110,43 @@ def _default_crash_check(u) -> bool:
 def integrate(
     u0: np.ndarray,
     rhs: Callable[[np.ndarray, float], np.ndarray],
-    config: RunConfig,
+    t_final: float,
     schedule: Optional[FilterSchedule] = None,
     observers: Optional[dict[str, Callable[[float, np.ndarray], float]]] = None,
     norm_fn: Optional[Callable[[np.ndarray], float]] = None,
     crash_check: Optional[Callable[[np.ndarray], bool]] = None,
-    dt_fn: Optional[Callable[[np.ndarray], float]] = None,
+    *,
+    dt_fn: Callable[[np.ndarray], float],
     t0: float = 0.0,
 ) -> Trajectory:
-    """Advance ``u0`` to ``config.t_final``, filtering per ``schedule``.
+    """Advance ``u0`` from ``t0`` over the horizon ``t_final``, filtering per ``schedule``.
 
     Steps land exactly on the final time (the last step is truncated). Every
-    step size is ``dt_fn`` of the current state, which must be given; a fixed
-    step is ``dt_fn = lambda u: dt``, whose steps :func:`fixed_steps` lists
-    and checks. Without a ``schedule`` nothing is filtered. Scheduled filter
-    times snap to the first step boundary at or beyond them; ``norm_fn``
-    (when given) is evaluated before and after every filter application and
-    recorded as a filter event. A crash detected by ``crash_check`` (default:
-    any non-finite entry) truncates the run and records the crash time.
+    step size is ``dt_fn`` of the current state; a fixed step is
+    ``dt_fn = lambda u: dt``, whose steps :func:`fixed_steps` lists and
+    checks. The time and the ``observers`` are recorded at ``t0`` and after
+    every step. Without a ``schedule`` nothing is filtered; its times snap
+    to the first step boundary at or beyond them. ``norm_fn`` (when given)
+    is evaluated before and after every filter application and recorded as
+    a filter event. A crash detected by ``crash_check`` (default: any
+    non-finite entry) truncates the run and records the crash time.
     """
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError("final time must be positive and finite")
     observers = observers or {}
     if crash_check is None:
         crash_check = _default_crash_check
-    if dt_fn is None:
-        raise ValueError("integrate takes every step size from dt_fn")
-    fmat = schedule.F if schedule is not None else None
-    every_step = schedule is not None and schedule.times is None
-    filter_times = () if schedule is None or every_step else schedule.times
-    if filter_times and filter_times[-1] > t0 + config.t_final + 1e-12:
+    t_end = t0 + t_final
+    if schedule is not None and schedule.times[-1] > t_end + 1e-12:
         raise ValueError("scheduled filter times must lie within the horizon")
+    pending = iter(() if schedule is None else schedule.times)
+    next_filter = float(next(pending, math.inf))
 
     u = np.array(u0, dtype=float, copy=True)
     t = t0
-    t_end = t0 + config.t_final
     times: list[float] = []
     series: dict[str, list[float]] = {name: [] for name in observers}
     events: list[tuple[float, float, float]] = []
-    next_time_idx = 0
 
     def record(now, state):
         times.append(now)
@@ -169,14 +155,13 @@ def integrate(
 
     def apply_filter(now, state):
         before = norm_fn(state) if norm_fn is not None else np.nan
-        state = fmat @ state
+        state = schedule.F @ state
         after = norm_fn(state) if norm_fn is not None else np.nan
         events.append((now, before, after))
         return state
 
     record(t, u)
     step = 0
-    crashed = False
     crash_time = None
     eps = 1e-12 * max(1.0, abs(t_end))
 
@@ -187,19 +172,15 @@ def integrate(
         step += 1
 
         if crash_check(u):
-            crashed = True
             crash_time = t
             record(t, u)
             break
 
-        if every_step:
+        while t >= next_filter - eps:
             u = apply_filter(t, u)
-        while next_time_idx < len(filter_times) and t >= filter_times[next_time_idx] - eps:
-            u = apply_filter(t, u)
-            next_time_idx += 1
+            next_filter = float(next(pending, math.inf))
 
-        if step % config.record_every == 0 or t >= t_end - eps:
-            record(t, u)
+        record(t, u)
 
     return Trajectory(
         times=np.asarray(times),
@@ -208,6 +189,6 @@ def integrate(
         u_final=u,
         t_final=t,
         n_steps=step,
-        crashed=crashed,
+        crashed=crash_time is not None,
         crash_time=crash_time,
     )

@@ -39,7 +39,7 @@ def check(label: str, ok: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def burgers_runs():
     return {
-        variant: run_burgers(variant, record_every=1)
+        variant: run_burgers(variant)
         for variant in ("cons_unfiltered", "cons_filtered",
                         "skew_unfiltered", "skew_filtered")
     }

@@ -7,6 +7,7 @@ from dgfilter.cli import _parse_n_list, main
 from dgfilter.experiments import CSV_HEADER
 from dgfilter.filters import FilterSpec
 from dgfilter.fv import FvConfig
+from dgfilter.timestepping import MAX_STEPS
 
 
 class TestNListParsing:
@@ -130,6 +131,12 @@ class TestExitCodes:
         pytest.param(["filter", "verify", "--n", "8", "--s", "3"], id="filter-odd-s"),
         pytest.param(["burgers", "--variant", "cons_filtered", "--filter-count", "0",
                       "--out", "{tmp}/b.csv"], id="burgers-filter-count0"),
+        pytest.param(["burgers", "--variant", "skew_unfiltered", "--filter-count", "-1",
+                      "--out", "{tmp}/b.csv"], id="burgers-filter-count-negative"),
+        # beyond MAX_STEPS: the array of filter times would not be bounded
+        pytest.param(["burgers", "--variant", "cons_unfiltered",
+                      "--filter-count", str(MAX_STEPS + 1), "--out", "{tmp}/b.csv"],
+                     id="burgers-filter-count-above-cap"),
         pytest.param(["burgers", "--variant", "skew_unfiltered", "--cfl", "-1",
                       "--out", "{tmp}/b.csv"], id="burgers-negative-cfl"),
         pytest.param(["varspeed", "--dt", "0", "--out", "{tmp}/v.csv"], id="varspeed-dt0"),

@@ -26,7 +26,7 @@ from dgfilter.experiments import (
 from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.fv import FvConfig
 from dgfilter.operators import build_operators
-from dgfilter.timestepping import FilterSchedule, RunConfig, integrate
+from dgfilter.timestepping import MAX_STEPS, FilterSchedule, integrate
 
 
 class TestProblemData:
@@ -172,15 +172,21 @@ class TestLinearPropagator:
         problem, n, u0_fn, exact_fn = linear_case(kind, prop_calls)
         x, u, err = _run_linear(problem, n, u0_fn, exact_fn, t_final, dt, spec)
 
+        # the reference filters at the end of each step, found one t += h at a time
+        eps = 1e-12 * max(1.0, t_final)
+        t, step_ends = 0.0, []
+        while t < t_final - eps:
+            t += min(dt, t_final - t)
+            step_ends.append(t)
         problem, n, u0_fn, exact_fn = linear_case(kind, ref_calls)
         ops = build_operators(n)
-        schedule = None if spec is None else FilterSchedule(build_filter(ops, spec).F)
-        traj = integrate(u0_fn(x), make_rhs(problem, ops),
-                         RunConfig(t_final=t_final, record_every=10**9), schedule=schedule,
+        schedule = None if spec is None else FilterSchedule(build_filter(ops, spec).F, step_ends)
+        traj = integrate(u0_fn(x), make_rhs(problem, ops), t_final, schedule=schedule,
                          dt_fn=lambda u: dt)
 
         # same steps: the inflow is asked for at the same stage times
         assert len(prop_calls) == 3 * traj.n_steps
+        assert len(traj.filter_events) == (traj.n_steps if filtered else 0)
         assert np.array_equal(prop_calls, ref_calls)
         scale = float(np.max(np.abs(traj.u_final)))
         assert np.max(np.abs(u - traj.u_final)) <= 1e-10 * scale
@@ -197,18 +203,50 @@ class TestBurgersDriver:
                                     "skew_unfiltered", "skew_filtered")
 
     def test_short_skew_run_is_bounded(self):
-        res = run_burgers("skew_unfiltered", n=32, t_final=0.5, record_every=5)
+        res = run_burgers("skew_unfiltered", n=32, t_final=0.5)
         traj = res.trajectory
         assert not traj.crashed
         assert np.max(traj.series["energy"]) <= 1.0 + 1e-10
 
     def test_filtered_run_records_filter_events(self):
-        res = run_burgers("skew_filtered", n=32, t_final=0.5, filter_count=4,
-                          record_every=5)
+        res = run_burgers("skew_filtered", n=32, t_final=0.5, filter_count=4)
         assert len(res.trajectory.filter_events) == 4
         for _, before, after in res.trajectory.filter_events:
             assert after <= before * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("variant", ["cons_filtered", "skew_unfiltered"])
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(filter_count=0), "filter count"),
+        (dict(filter_count=-1), "filter count"),
+        (dict(filter_count=MAX_STEPS + 1), "filter count"),
+        (dict(t_final=-1.0), "final time"),
+        (dict(t_final=np.nan), "final time"),
+    ])
+    def test_rejects_bad_input_before_operator_work(self, variant, kwargs, match, monkeypatch):
+        def never_called(*args, **kwargs):
+            raise AssertionError("operators built for rejected input")
+
+        monkeypatch.setattr(experiments, "build_operators", never_called)
+        with pytest.raises(ValueError, match=match):
+            run_burgers(variant, **kwargs)
+
+    @pytest.mark.parametrize("t_final", [2.25, 0.5, 0.1, 1.0 / 3.0])
+    @pytest.mark.parametrize("count", [1, 3, 16, 99991])
+    def test_filter_times_match_the_tuple_formula(self, t_final, count, monkeypatch):
+        captured = {}
+
+        class Captured(Exception):
+            pass
+
+        def capture(u0, rhs, t_final, schedule=None, **kwargs):
+            captured["times"] = schedule.times
+            raise Captured
+
+        monkeypatch.setattr(experiments, "integrate", capture)
+        with pytest.raises(Captured):
+            run_burgers("skew_filtered", n=8, filter_count=count, t_final=t_final)
+        assert np.array_equal(captured["times"],
+                              [t_final * (k + 1) / count for k in range(count)])
 
     def test_crash_check_tests_the_energy(self, monkeypatch):
         """A non-finite state, a finite one whose energy overflows, and an
@@ -218,7 +256,7 @@ class TestBurgersDriver:
         class Captured(Exception):
             pass
 
-        def capture(u0, rhs, config, **kwargs):
+        def capture(u0, rhs, t_final, **kwargs):
             captured.update(kwargs, u0=u0)
             raise Captured
 

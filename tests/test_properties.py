@@ -22,7 +22,7 @@ from dgfilter.experiments import ExperimentRecord, run_convergence, run_varspeed
 from dgfilter.filters import FilterSpec, auxiliary_filter, build_filter, contractivity_spectrum
 from dgfilter.fv import FvConfig, solve_fv_burgers
 from dgfilter.operators import build_operators, discrete_norm
-from dgfilter.timestepping import RunConfig, integrate
+from dgfilter.timestepping import integrate
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 EPS = np.finfo(float).eps
@@ -127,8 +127,7 @@ def test_conservative_burgers_conserves_mass(case):
     problem = ProblemSpec(pde="burgers_conservative", domain=(0.0, 2.0))
     umax0 = max(float(np.max(np.abs(u0))), 1e-3)
     dt = 0.02 * 0.5 * problem.dx * float(np.min(np.diff(ops.nodes))) / umax0
-    traj = integrate(u0, make_rhs(problem, ops), RunConfig(t_final=100 * dt),
-                     dt_fn=lambda u: dt,
+    traj = integrate(u0, make_rhs(problem, ops), 100 * dt, dt_fn=lambda u: dt,
                      observers={"mass": lambda t, u: float(np.sum(ops.weights * u)),
                                 "umax": lambda t, u: float(np.max(np.abs(u)))})
     assert not traj.crashed

@@ -10,8 +10,7 @@ from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import gaussian_pulse
 from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.operators import build_operators, discrete_norm
-from dgfilter.timestepping import (MAX_STEPS, FilterSchedule, RunConfig, fixed_steps, integrate,
-                                   rk3_step)
+from dgfilter.timestepping import MAX_STEPS, FilterSchedule, fixed_steps, integrate, rk3_step
 
 
 def decay(u, t):
@@ -54,19 +53,6 @@ class TestRk3Step:
         assert y == pytest.approx(1.0, abs=1e-14)
 
 
-class TestRunConfig:
-    def test_holds_no_step_size(self):
-        # every step size comes from integrate's dt_fn, a fixed one as well
-        with pytest.raises(TypeError):
-            RunConfig(t_final=1.0, dt=0.1)
-
-    def test_rejects_bad_values(self):
-        for bad in [dict(t_final=-1.0), dict(t_final=1.0, record_every=0),
-                    dict(t_final=math.nan), dict(t_final=math.inf)]:
-            with pytest.raises(ValueError):
-                RunConfig(**bad)
-
-
 def loop_fixed_steps(t_final, dt):
     """Reference: the step schedule built one ``t += dt`` at a time."""
     eps = 1e-12 * max(1.0, abs(t_final))
@@ -75,6 +61,16 @@ def loop_fixed_steps(t_final, dt):
         starts.append(t)
         t += min(dt, t_final - t)
     return np.array(starts), min(dt, t_final - starts[-1]) if starts else dt
+
+
+def loop_step_ends(t_final, dt):
+    """End time of each step integrate takes with ``dt_fn = lambda u: dt``."""
+    eps = 1e-12 * max(1.0, abs(t_final))
+    t, ends = 0.0, []
+    while t < t_final - eps:
+        t += min(dt, t_final - t)
+        ends.append(t)
+    return tuple(ends)
 
 
 class TestFixedSteps:
@@ -144,8 +140,7 @@ def advection_setup(n=24, g=None):
 
 class TestIntegrate:
     def test_lands_exactly_on_final_time(self):
-        traj = integrate(np.ones(3), lambda u, t: -u,
-                         RunConfig(t_final=0.35), dt_fn=lambda u: 0.1)
+        traj = integrate(np.ones(3), lambda u, t: -u, 0.35, dt_fn=lambda u: 0.1)
         assert traj.t_final == pytest.approx(0.35, abs=1e-14)
         assert traj.n_steps == 4
 
@@ -153,7 +148,7 @@ class TestIntegrate:
         problem, ops, x = advection_setup()
         rhs = make_rhs(problem, ops)
         u0 = gaussian_pulse(x, 0.0)
-        traj = integrate(u0, rhs, RunConfig(t_final=0.1), dt_fn=lambda u: 0.01)
+        traj = integrate(u0, rhs, 0.1, dt_fn=lambda u: 0.01)
 
         u, t = u0.copy(), 0.0
         for _ in range(10):
@@ -161,16 +156,16 @@ class TestIntegrate:
             t += 0.01
         assert np.array_equal(traj.u_final, u)
 
-    def test_every_step_bounds_norm_with_homogeneous_inflow(self):
+    def test_filter_after_each_step_bounds_norm_with_homogeneous_inflow(self):
         problem, ops, x = advection_setup(g=lambda t: 0.0)
         fm = build_filter(ops, FilterSpec())
         u0 = gaussian_pulse(x, 0.25)  # pulse centered inside the domain
         traj = integrate(
-            u0, make_rhs(problem, ops),
-            RunConfig(t_final=0.5, record_every=25), dt_fn=lambda u: 1e-3,
-            schedule=FilterSchedule(fm.F),
+            u0, make_rhs(problem, ops), 0.5, dt_fn=lambda u: 1e-3,
+            schedule=FilterSchedule(fm.F, times=loop_step_ends(0.5, 1e-3)),
             observers={"norm": lambda t, u: discrete_norm(u, ops.weights)},
         )
+        assert len(traj.filter_events) == traj.n_steps == 500
         norms = traj.series["norm"]
         assert np.all(norms <= norms[0] * (1.0 + 1e-12))
 
@@ -178,8 +173,7 @@ class TestIntegrate:
         problem, ops, x = advection_setup(n=8)
         fm = build_filter(ops, FilterSpec(nc=2))
         traj = integrate(
-            gaussian_pulse(x, 0.0), make_rhs(problem, ops),
-            RunConfig(t_final=0.4), dt_fn=lambda u: 0.03,
+            gaussian_pulse(x, 0.0), make_rhs(problem, ops), 0.4, dt_fn=lambda u: 0.03,
             schedule=FilterSchedule(fm.F, times=(0.1, 0.2, 0.4)),
             norm_fn=lambda u: discrete_norm(u, ops.weights),
         )
@@ -192,41 +186,42 @@ class TestIntegrate:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_crash_returns_partial_series(self):
         # blow-up ODE passes through inf to nan within the horizon
-        traj = integrate(np.array([1.0]), lambda u, t: u * u * 1e3,
-                         RunConfig(t_final=1.0), dt_fn=lambda u: 0.05)
+        traj = integrate(np.array([1.0]), lambda u, t: u * u * 1e3, 1.0, dt_fn=lambda u: 0.05)
         assert traj.crashed
         assert traj.crash_time is not None and traj.crash_time < 1.0
         assert traj.times[-1] == pytest.approx(traj.crash_time)
 
     def test_custom_crash_check(self):
-        traj = integrate(np.array([1.0]), lambda u, t: u,
-                         RunConfig(t_final=2.0), dt_fn=lambda u: 0.1,
+        traj = integrate(np.array([1.0]), lambda u, t: u, 2.0, dt_fn=lambda u: 0.1,
                          crash_check=lambda u: float(np.max(u)) > 2.0)
         assert traj.crashed and traj.crash_time < 1.5
 
     def test_cfl_stepping_needs_dt_fn(self):
-        # the config holds no step size, so without dt_fn there is none
-        with pytest.raises(ValueError, match="dt_fn"):
-            integrate(np.ones(2), lambda u, t: -u, RunConfig(t_final=1.0))
+        # every step size comes from dt_fn, a required keyword
+        with pytest.raises(TypeError, match="dt_fn"):
+            integrate(np.ones(2), lambda u, t: -u, 1.0)
+
+    @pytest.mark.parametrize("t_final", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_final_time(self, t_final):
+        with pytest.raises(ValueError, match="final time"):
+            integrate(np.ones(2), lambda u, t: -u, t_final, dt_fn=lambda u: 0.1)
 
     def test_dt_fn_sets_each_step(self):
         sizes = iter([0.5, 0.25, 0.125, 10.0])
-        traj = integrate(np.ones(2), lambda u, t: -u, RunConfig(t_final=1.0),
-                         dt_fn=lambda u: next(sizes))
+        traj = integrate(np.ones(2), lambda u, t: -u, 1.0, dt_fn=lambda u: next(sizes))
         assert np.allclose(traj.times, [0.0, 0.5, 0.75, 0.875, 1.0], atol=1e-15)
 
     def test_filter_times_must_fit_horizon(self):
         ops = build_operators(4)
         fm = build_filter(ops, FilterSpec(nc=2))
         with pytest.raises(ValueError):
-            integrate(np.ones(5), lambda u, t: -u,
-                      RunConfig(t_final=1.0), dt_fn=lambda u: 0.1,
+            integrate(np.ones(5), lambda u, t: -u, 1.0, dt_fn=lambda u: 0.1,
                       schedule=FilterSchedule(fm.F, times=(0.5, 1.5)))
 
-    def test_record_cadence(self):
-        traj = integrate(np.ones(2), lambda u, t: -u,
-                         RunConfig(t_final=1.0, record_every=2), dt_fn=lambda u: 0.1,
+    def test_records_each_step(self):
+        traj = integrate(np.ones(2), lambda u, t: -u, 1.0, dt_fn=lambda u: 0.1,
                          observers={"sum": lambda t, u: float(np.sum(u))})
-        # t = 0 plus every other step boundary
-        assert np.allclose(traj.times, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-12)
-        assert traj.series["sum"].size == traj.times.size
+        # t = 0 plus every step boundary
+        assert traj.n_steps == 10
+        assert np.allclose(traj.times, np.linspace(0.0, 1.0, 11), atol=1e-12)
+        assert traj.series["sum"].size == traj.times.size == 11
