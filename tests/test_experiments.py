@@ -8,6 +8,8 @@ from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import (
     BURGERS_VARIANTS,
     CSV_HEADER,
+    STEP_CHUNK,
+    _linear_rhs_matrix,
     _run_linear,
     burgers_initial,
     error_linf,
@@ -26,7 +28,7 @@ from dgfilter.experiments import (
 from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.fv import FvConfig
 from dgfilter.operators import build_operators
-from dgfilter.timestepping import MAX_STEPS, FilterSchedule, integrate
+from dgfilter.timestepping import MAX_STEPS, FilterSchedule, fixed_steps, integrate, rk3_step
 
 
 class TestProblemData:
@@ -165,6 +167,9 @@ class TestLinearPropagator:
         (0.3011, 2e-3),     # last step truncated to 1.1e-3
         (0.3, 2e-3),        # last step short by roundoff
         (0.25, 1.0 / 64),   # exact multiple: no truncated step
+        (0.25, 1.0 / 256),  # exactly one chunk
+        (0.5, 1.0 / 256),   # exactly two chunks
+        (0.2671, 2e-3),     # two chunks, 5 one-step steps and a truncated step
     ])
     def test_matches_integrate(self, kind, filtered, t_final, dt):
         spec = FilterSpec() if filtered else None
@@ -191,6 +196,35 @@ class TestLinearPropagator:
         scale = float(np.max(np.abs(traj.u_final)))
         assert np.max(np.abs(u - traj.u_final)) <= 1e-10 * scale
         assert err == error_linf(u, lambda xx: exact_fn(xx, t_final), x)
+
+    def test_step_chunk_is_a_power_of_two(self):
+        # the chunk map is built by doubling
+        assert STEP_CHUNK > 1 and STEP_CHUNK & (STEP_CHUNK - 1) == 0
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("kind", ["constant", "variable"])
+    @pytest.mark.parametrize("filtered", [True, False])
+    def test_roundoff_against_long_double(self, kind, filtered):
+        # 200 full steps (three chunks and 8 one-step steps) and a truncated one
+        t_final, dt = 0.4011, 2e-3
+        spec = FilterSpec() if filtered else None
+        problem, n, u0_fn, exact_fn = linear_case(kind, [])
+        x, u, _ = _run_linear(problem, n, u0_fn, exact_fn, t_final, dt, spec)
+
+        # the same L, F and inflow, one step at a time in long double
+        ops = build_operators(n)
+        lmat, r = (a.astype(np.longdouble) for a in _linear_rhs_matrix(problem, ops))
+        fmat = None if spec is None else build_filter(ops, spec).F.astype(np.longdouble)
+        starts, h_last = fixed_steps(t_final, dt)
+        ref = u0_fn(x).astype(np.longdouble)
+        for i, t in enumerate(starts):
+            h = dt if i < starts.size - 1 else h_last
+            ref = rk3_step(ref, t, h, lambda v, s: lmat @ v + r * problem.inflow(s))
+            if fmat is not None:
+                ref = fmat @ ref
+        scale = float(np.max(np.abs(ref)))
+        assert float(np.max(np.abs(u - ref))) <= 1e-12 * scale
 
 
 class TestBurgersDriver:

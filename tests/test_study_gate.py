@@ -13,6 +13,12 @@ the output:
   the tolerances a roundoff-level change must meet: 1e-12 absolute on the
   convergence errors, 1e-10 max|u| on varspeed, exact on Burgers and FV.
 
+The hashes are those of one build: numpy 2.4 with OpenBLAS 0.3.31 running
+its Haswell kernels on x86-64. Another BLAS build, or a CPU for which
+OpenBLAS picks other kernels, can round differently and then needs its own
+hash table, and may move the Burgers and FV values that the summary checks
+exactly.
+
 Run as a script, this file runs the commands into a directory and prints
 the digests and the summary as JSON; ``--write`` stores them as the
 committed tables::
