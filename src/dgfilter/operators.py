@@ -40,11 +40,21 @@ class OperatorSet:
 
 
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (P_n(x), P_{n-1}(x)) by the three-term recurrence, n >= 1."""
-    p_prev = np.ones_like(x)
+    """Return (P_n(x), P_{n-1}(x)) by the three-term recurrence, n >= 1.
+
+    Each step is ((2k + 1) x P_k - k P_{k-1}) / (k + 1), evaluated in place
+    in three rotating buffers, operation for operation.
+    """
+    p_prev = np.ones_like(x, dtype=float)
     p = np.array(x, dtype=float, copy=True)
+    nxt = np.empty_like(p)
     for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
+        np.multiply(x, 2 * k + 1, out=nxt)
+        nxt *= p
+        p_prev *= k
+        nxt -= p_prev
+        nxt /= k + 1
+        p_prev, p, nxt = p, nxt, p_prev
     return p, p_prev
 
 
@@ -95,14 +105,25 @@ def lgl_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _legendre_table(n: int, x: np.ndarray) -> np.ndarray:
-    """Columns j = 0..n of the normalized Legendre basis at points ``x``."""
-    tab = np.empty((x.size, n + 1))
-    tab[:, 0] = 1.0
+    """Columns j = 0..n of the normalized Legendre basis at points ``x``.
+
+    The recurrence of :func:`_legendre_pair` fills one contiguous row per
+    degree; the normalization then writes the transpose as a C-ordered
+    array in one pass.
+    """
+    tab = np.empty((n + 1, x.size))
+    tab[0] = 1.0
     if n >= 1:
-        tab[:, 1] = x
+        tab[1] = x
+    scaled = np.empty_like(x)
     for k in range(1, n):
-        tab[:, k + 1] = ((2 * k + 1) * x * tab[:, k] - k * tab[:, k - 1]) / (k + 1)
-    return tab * np.sqrt(np.arange(n + 1) + 0.5)
+        row = tab[k + 1]
+        np.multiply(x, 2 * k + 1, out=row)
+        row *= tab[k]
+        np.multiply(tab[k - 1], k, out=scaled)
+        row -= scaled
+        row /= k + 1
+    return np.multiply(tab.T, np.sqrt(np.arange(n + 1) + 0.5), order="C")
 
 
 def _barycentric_weights(weights: np.ndarray) -> np.ndarray:
