@@ -45,7 +45,7 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each step is ((2k + 1) x P_k - k P_{k-1}) / (k + 1), evaluated in place
     in three rotating buffers, operation for operation.
     """
-    p_prev = np.ones_like(x, dtype=float)
+    p_prev = np.ones_like(x)
     p = np.array(x, dtype=float, copy=True)
     nxt = np.empty_like(p)
     for k in range(1, n):
@@ -61,8 +61,15 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def lgl_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Legendre-Gauss-Lobatto nodes and quadrature weights for degree ``n``.
 
-    The interior nodes are the roots of P_n', found by Newton iteration
-    seeded with Chebyshev-Gauss-Lobatto points. The resulting rule is exact
+    The interior nodes are the roots of P_n' = c P^(1,1)_{n-1}, found by
+    Newton iteration seeded with the Gatteschi-Pittaluga asymptotic for
+    Jacobi zeros, x_k = cos(phi_k - 3 / (8 rho^2 tan phi_k)) with
+    phi_k = (k + 1/4) pi / rho, rho = n + 1/2 and k = n-1..1 (ascending x).
+    The seed is within 1e-4 of the roots at n = 3 and 3e-9 at n = 512. Each
+    pass symmetrizes the iterate and evaluates the recurrence at it; once
+    max|step| <= ``_NEWTON_TOL`` the iteration stops without taking that
+    step, three passes for every n >= 3. The weights
+    2 / (n (n + 1) P_n(x)^2) take P_n from that last pass. The rule is exact
     for polynomials of degree <= 2n - 1.
 
     Parameters
@@ -80,9 +87,14 @@ def lgl_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     nodes = np.empty(n + 1)
     nodes[0], nodes[n] = -1.0, 1.0
+    weights = np.full(n + 1, 2.0 / (n * (n + 1)))  # P_n(+-1)^2 = 1
     if n >= 2:
-        x = -np.cos(np.pi * np.arange(1, n) / n)
+        rho = n + 0.5
+        phi = (np.arange(n - 1, 0, -1) + 0.25) * (np.pi / rho)
+        x = np.cos(phi - 3.0 / (8.0 * rho * rho * np.tan(phi)))
         for _ in range(_NEWTON_MAXIT):
+            # symmetrize: pairs become exact negatives, middle node exactly 0
+            x = 0.5 * (x - x[::-1])
             p, p_prev = _legendre_pair(n, x)
             # dP_n and d2P_n from the standard identities; x is interior so
             # the 1 - x^2 factors are safe.
@@ -90,17 +102,13 @@ def lgl_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
             dp = n * (p_prev - x * p) / omx2
             d2p = (2.0 * x * dp - n * (n + 1) * p) / omx2
             step = dp / d2p
-            x -= step
             if np.max(np.abs(step)) <= _NEWTON_TOL:
                 break
+            x -= step
         else:
             raise RuntimeError(f"LGL Newton iteration failed to converge for n={n}")
-        # symmetrize: pairs become exact negatives, middle node exactly 0
-        x = 0.5 * (x - x[::-1])
         nodes[1:n] = x
-
-    pn = _legendre_pair(n, nodes)[0]
-    weights = 2.0 / (n * (n + 1) * pn * pn)
+        weights[1:n] = 2.0 / (n * (n + 1) * p * p)
     return nodes, weights
 
 
@@ -115,13 +123,13 @@ def _legendre_table(n: int, x: np.ndarray) -> np.ndarray:
     tab[0] = 1.0
     if n >= 1:
         tab[1] = x
-    scaled = np.empty_like(x)
+    term = np.empty_like(x)
     for k in range(1, n):
         row = tab[k + 1]
         np.multiply(x, 2 * k + 1, out=row)
         row *= tab[k]
-        np.multiply(tab[k - 1], k, out=scaled)
-        row -= scaled
+        np.multiply(tab[k - 1], k, out=term)
+        row -= term
         row /= k + 1
     return np.multiply(tab.T, np.sqrt(np.arange(n + 1) + 0.5), order="C")
 
@@ -172,7 +180,9 @@ def vandermonde(nodes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.
     vmat = _legendre_table(n, np.asarray(nodes, dtype=float))
     gram = np.ones(n + 1)
     gram[n] = 2.0 + 1.0 / n
-    return vmat, (vmat.T * weights) / gram[:, None]
+    vinv = vmat.T * weights
+    vinv /= gram[:, None]
+    return vmat, vinv
 
 
 def interpolation_matrix(nodes: np.ndarray, targets: np.ndarray,
@@ -212,7 +222,7 @@ def sbp_residual(ops: OperatorSet) -> float:
     resid = md + md.T
     resid[0, 0] += 1.0
     resid[-1, -1] -= 1.0
-    return float(np.max(np.abs(resid)))
+    return float(np.max(np.abs(resid, out=resid)))
 
 
 def build_operators(n: int, check: bool = True) -> OperatorSet:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dgfilter import operators
 from dgfilter.operators import (
     _barycentric_weights,
     build_operators,
@@ -18,6 +19,24 @@ from dgfilter.operators import (
 
 # the degrees the benchmark's verify sweep runs: 1..64 and a spread up to 512
 SWEEP_NS = (*range(1, 65), *sorted({*range(96, 513, 32), 397, 440, 498, 504, 507}))
+
+
+def _longdouble_polish(n, nodes):
+    """Interior nodes and weights after three long-double Newton passes from ``nodes``."""
+    def pair(x):
+        p_prev, p = np.ones_like(x), x.copy()
+        for k in range(1, n):
+            p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
+        return p, p_prev
+
+    x = np.asarray(nodes[1:-1], dtype=np.longdouble)
+    for _ in range(3):
+        p, p_prev = pair(x)
+        omx2 = 1 - x * x
+        dp = n * (p_prev - x * p) / omx2
+        x = x - dp / ((2 * x * dp - n * (n + 1) * p) / omx2)
+    p = pair(x)[0]
+    return x, 2 / (n * (n + 1) * p * p)
 
 
 class TestNodesWeights:
@@ -48,6 +67,29 @@ class TestNodesWeights:
     def test_rejects_over_cap(self):
         with pytest.raises(ValueError):
             lgl_nodes_weights(513)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).precision <= np.finfo(float).precision,
+                        reason="long double is no wider than double on this platform")
+    @pytest.mark.parametrize("n", SWEEP_NS[1:])
+    def test_matches_a_long_double_polish(self, n):
+        nodes, weights = lgl_nodes_weights(n)
+        x, w = _longdouble_polish(n, nodes)
+        assert float(np.max(np.abs(nodes[1:-1] - x))) <= 2e-16
+        assert float(np.max(np.abs(weights[1:-1] / w - 1))) <= 1e-12
+
+    @pytest.mark.parametrize("n", SWEEP_NS)
+    def test_at_most_three_legendre_passes(self, n, monkeypatch):
+        """The asymptotic seed converges in three Newton passes; the last one also gives the weights."""
+        calls = []
+        pair = operators._legendre_pair
+
+        def counted(deg, x):
+            calls.append(deg)
+            return pair(deg, x)
+
+        monkeypatch.setattr(operators, "_legendre_pair", counted)
+        lgl_nodes_weights(n)
+        assert len(calls) <= 3
 
     @pytest.mark.parametrize("n", [2, 5, 16, 48])
     def test_quadrature_exactness(self, n):
