@@ -19,7 +19,7 @@ import numpy as np
 from .equations import ProblemSpec, make_rhs
 from .filters import FilterSpec, build_filter
 from .fv import FvConfig, solve_fv_burgers
-from .operators import OperatorSet, build_operators, interpolation_matrix
+from .operators import OperatorSet, build_operators
 from .timestepping import (MAX_STEPS, RK3_C, FilterSchedule, Trajectory, fixed_steps, integrate,
                            rk3_affine_step)
 
@@ -70,16 +70,6 @@ def error_linf(u: np.ndarray, exact_fn, nodes_physical: np.ndarray) -> float:
 def total_variation(u: np.ndarray) -> float:
     """Sum of absolute differences of adjacent nodal values."""
     return float(np.sum(np.abs(np.diff(u))))
-
-
-def shock_position(x: np.ndarray, u: np.ndarray) -> float:
-    """Midpoint of the steepest descent between adjacent samples.
-
-    Descents only: compressive shocks always drop, which keeps spurious
-    ascending wiggles from being mistaken for the shock.
-    """
-    i = int(np.argmin(np.diff(u)))
-    return 0.5 * (x[i] + x[i + 1])
 
 
 def min_node_spacing(ops: OperatorSet, problem: ProblemSpec) -> float:
@@ -392,11 +382,3 @@ def run_fv_reference(config: FvConfig = FvConfig()) -> FvResult:
     for xi, ui in zip(x, u):
         record.add(config.cells, config.cfl, xi, ui, "solution")
     return FvResult(x=x, u_final=u, steps=steps, record=record)
-
-
-def sample_nodal_on(ops: OperatorSet, problem: ProblemSpec, u: np.ndarray,
-                    x_targets: np.ndarray) -> np.ndarray:
-    """Evaluate a nodal DG solution at arbitrary physical points."""
-    x_l, x_r = problem.domain
-    xi = 2.0 * (x_targets - x_l) / (x_r - x_l) - 1.0
-    return interpolation_matrix(ops.nodes, xi, ops.weights) @ u

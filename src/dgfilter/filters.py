@@ -162,7 +162,7 @@ def verify_filter(ops: OperatorSet, spec: FilterSpec) -> FilterVerification:
     kmat = quadrature_gram(ops.V, ops.weights)
     gram_last = float(kmat[n, n])
     gram_error = max(
-        float(np.max(np.abs(np.diag(kmat)[:n] - 1.0))) if n > 0 else 0.0,
+        float(np.max(np.abs(np.diag(kmat)[:n] - 1.0))),
         abs(gram_last - (2.0 + 1.0 / n)),
     )
     np.fill_diagonal(kmat, 0.0)

@@ -157,9 +157,9 @@ def derivative_matrix(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     roundoff floor.
     """
     x = np.asarray(nodes, dtype=float)
-    diff = x[:, None] - x[None, :]
-    if np.any(diff[~np.eye(x.size, dtype=bool)] == 0.0):
+    if np.any(np.diff(np.sort(x)) == 0.0):
         raise ValueError("duplicate nodes")
+    diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
     w = _barycentric_weights(weights)
     dmat = (w[None, :] / w[:, None]) / diff
@@ -183,33 +183,6 @@ def vandermonde(nodes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.
     vinv = vmat.T * weights
     vinv /= gram[:, None]
     return vmat, vinv
-
-
-def interpolation_matrix(nodes: np.ndarray, targets: np.ndarray,
-                         weights: np.ndarray) -> np.ndarray:
-    """Matrix evaluating the nodal interpolant on the LGL ``nodes`` at arbitrary points.
-
-    Second-form barycentric interpolation with the barycentric weights of
-    the LGL quadrature ``weights``; target points that coincide with a node
-    reproduce the nodal value exactly.
-    """
-    x = np.asarray(nodes, dtype=float)
-    xt = np.asarray(targets, dtype=float)
-    w = _barycentric_weights(weights)
-    dist = xt[:, None] - x[None, :]
-    hit = dist == 0.0
-    dist[hit] = 1.0
-    terms = w[None, :] / dist
-    mat = terms / np.sum(terms, axis=1)[:, None]
-    rows_hit = np.any(hit, axis=1)
-    mat[rows_hit] = 0.0
-    mat[hit] = 1.0
-    return mat
-
-
-def discrete_norm(u: np.ndarray, w: np.ndarray) -> float:
-    """Quadrature norm sqrt(sum_i u_i w_i u_i) with LGL weights ``w``."""
-    return float(np.sqrt(np.sum(u * w * u)))
 
 
 def sbp_residual(ops: OperatorSet) -> float:

@@ -8,15 +8,13 @@ through module-scoped fixtures.
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
-from dgfilter.equations import ProblemSpec
 from dgfilter.experiments import (
     run_burgers,
     run_convergence,
     run_fv_reference,
     run_varspeed,
-    sample_nodal_on,
-    shock_position,
 )
 from dgfilter.filters import (
     FilterSpec,
@@ -24,7 +22,8 @@ from dgfilter.filters import (
     build_filter,
     contractivity_spectrum,
 )
-from dgfilter.operators import build_operators, discrete_norm, sbp_residual
+from dgfilter.operators import build_operators, sbp_residual
+from helpers import discrete_norm, shock_position
 
 
 def check(label: str, ok: bool, detail: str = ""):
@@ -180,8 +179,15 @@ def test_criterion_6_burgers_energy_study(burgers_runs):
 
 def test_criterion_7_fv_cross_check(burgers_runs, fv_reference):
     dg = burgers_runs["skew_filtered"]
-    problem = ProblemSpec(pde="burgers_skew", domain=(0.0, 2.0))
-    u_dg = sample_nodal_on(dg.ops, problem, dg.trajectory.u_final, fv_reference.x)
+    ops, u = dg.ops, dg.trajectory.u_final
+    # the DG solution as the Legendre series of its modal coefficients, on
+    # [0, 2] = [-1, 1] + 1; V's columns are P_k scaled by sqrt(k + 1/2)
+    n = ops.nodes.size - 1
+    coef = (ops.Vinv @ u) * np.sqrt(np.arange(n + 1) + 0.5)
+    u_dg = legendre.legval(fv_reference.x - 1.0, coef)
+    # the series must reproduce the nodal values it came from
+    resample = float(np.max(np.abs(legendre.legval(ops.nodes, coef) - u)))
+    resample_ok = resample <= 1e-12 * float(np.max(np.abs(u)))
 
     dx = fv_reference.x[1] - fv_reference.x[0]
     xs_fv = shock_position(fv_reference.x, fv_reference.u_final)
@@ -193,9 +199,9 @@ def test_criterion_7_fv_cross_check(burgers_runs, fv_reference):
     l1_ok = l1 <= 2e-2
     check(
         "criterion 7: filtered DG agrees with the finite-volume reference",
-        shock_ok and l1_ok,
+        shock_ok and l1_ok and resample_ok,
         f"shock offset {abs(xs_fv - xs_dg):.1e} (tol {5 * dx:.1e}), "
-        f"smooth-region L1 {l1:.2e}",
+        f"smooth-region L1 {l1:.2e}, nodal resample error {resample:.1e}",
     )
 
 

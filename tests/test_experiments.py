@@ -19,7 +19,6 @@ from dgfilter.experiments import (
     run_convergence,
     run_varspeed,
     run_fv_reference,
-    shock_position,
     total_variation,
     varspeed_exact,
     varspeed_wave_speed,
@@ -29,6 +28,7 @@ from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.fv import FvConfig
 from dgfilter.operators import build_operators
 from dgfilter.timestepping import MAX_STEPS, FilterSchedule, fixed_steps, integrate, rk3_step
+from helpers import shock_position
 
 
 class TestProblemData:

@@ -14,7 +14,8 @@ from dgfilter.filters import (
     quadrature_gram,
     verify_filter,
 )
-from dgfilter.operators import build_operators, discrete_norm
+from dgfilter.operators import build_operators
+from helpers import discrete_norm
 
 
 def trapezoid_weights(nodes):

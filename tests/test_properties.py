@@ -21,8 +21,9 @@ from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import ExperimentRecord, run_convergence, run_varspeed, write_csv
 from dgfilter.filters import FilterSpec, auxiliary_filter, build_filter, contractivity_spectrum
 from dgfilter.fv import FvConfig, solve_fv_burgers
-from dgfilter.operators import build_operators, discrete_norm
+from dgfilter.operators import build_operators
 from dgfilter.timestepping import integrate
+from helpers import discrete_norm
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 EPS = np.finfo(float).eps

@@ -2,9 +2,12 @@
 
 The 8 default study commands, and ``ops check`` and ``filter verify`` at a
 few degrees, run through ``dgfilter.cli.main`` in one subprocess with one
-BLAS thread (the thread count changes the last bits of some CSVs, and only
-the environment of a fresh process can set it). Two committed tables judge
-the output:
+BLAS thread: the thread count changes the last bits of some CSVs. The count
+is set in the environment of a fresh process, not in this one. The
+variables reach OpenBLAS, MKL and OpenMP builds alike, and the pinned count
+cannot leak into the other tests. (With numpy's bundled OpenBLAS, a call to
+its ``set_num_threads`` after import would pin the same bits.) Two committed
+tables judge the output:
 
 - ``data/study_hashes.json``: the sha256 of every CSV and of the stdout of
   every check command, and the exit codes. A change that moves bits on
@@ -52,7 +55,7 @@ import numpy as np
 import pytest
 
 from dgfilter import cli
-from dgfilter.experiments import shock_position
+from helpers import shock_position
 
 DATA = Path(__file__).with_name("data")
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -9,8 +9,9 @@ import pytest
 from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import gaussian_pulse
 from dgfilter.filters import FilterSpec, build_filter
-from dgfilter.operators import build_operators, discrete_norm
+from dgfilter.operators import build_operators
 from dgfilter.timestepping import MAX_STEPS, FilterSchedule, fixed_steps, integrate, rk3_step
+from helpers import discrete_norm
 
 
 def decay(u, t):
