@@ -31,7 +31,7 @@ import numpy as np
 from . import experiments
 from .filters import FilterSpec, verify_filter
 from .fv import FvConfig
-from .operators import build_operators, sbp_residual
+from .operators import build_operators, gram_diagonal, sbp_residual, sbp_tolerance
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -60,8 +60,7 @@ def _cmd_ops_check(n: int) -> int:
     print(f"SBP residual           : {sbp:.3e}")
     print(f"V Vinv - I max         : {vv:.3e}")
     print(f"weight-sum error       : {wsum:.3e}")
-    sbp_tol = 1e-12 * max(1.0, n / 64.0)
-    ok = sbp <= sbp_tol and vv <= 1e-11 * max(1.0, n / 64.0) and wsum <= 1e-13
+    ok = sbp <= sbp_tolerance(n) and vv <= 1e-11 * max(1.0, n / 64.0) and wsum <= 1e-13
     print("result                 : " + ("ok" if ok else "FAIL"))
     return 0 if ok else 1
 
@@ -70,7 +69,7 @@ def _cmd_filter_verify(n: int, **spec) -> int:
     rep = verify_filter(build_operators(n), FilterSpec(**spec))
     print(f"degree                 : {rep.n}")
     print(f"gram max off-diagonal  : {rep.gram_offdiag:.3e}")
-    print(f"gram last diagonal     : {rep.gram_last:.15g} (target {2 + 1 / rep.n:.15g})")
+    print(f"gram last diagonal     : {rep.gram_last:.15g} (target {gram_diagonal(n)[-1]:.15g})")
     print(f"adjoint gap max        : {rep.adjoint_gap:.3e} (tol {rep.adjoint_tol:.3e})")
     print(f"contractivity lambda   : {rep.lambda_max:.3e} (tol {rep.lambda_tol:.3e})")
     print("result                 : " + ("ok" if rep.passed else "FAIL"))

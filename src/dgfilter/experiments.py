@@ -299,9 +299,10 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
 
     Filtered variants apply the filter at ``filter_count`` equally spaced
     times (snapped to step boundaries). ``t_final`` and ``1 <= filter_count
-    <= MAX_STEPS`` are checked before any operator work. The energy is
-    recorded after every step; a crash (non-finite state or energy blow-up)
-    ends the run and is recorded as data, not an error.
+    <= MAX_STEPS`` are checked before any operator work, and a first step
+    needing more than ``MAX_STEPS`` steps is rejected before it is taken. The
+    energy is recorded after every step; a crash (non-finite state or energy
+    blow-up) ends the run and is recorded as data, not an error.
     """
     if variant not in BURGERS_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -330,16 +331,19 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
     u0 = burgers_initial(problem.physical_nodes(ops.nodes))
     e0 = phys_energy(u0)
 
-    schedule = None
-    if filtered:
-        times = t_final * np.arange(1, filter_count + 1) / filter_count
-        schedule = FilterSchedule(build_filter(ops, filter_spec).F, times=times)
-
     h_min = min_node_spacing(ops, problem)
 
     def dt_fn(u):
         umax = float(np.abs(u).max())
         return cfl * h_min / max(umax, 1e-12)
+
+    if t_final > MAX_STEPS * dt_fn(u0):
+        raise ValueError(f"t_final / dt of the first step exceeds the step cap {MAX_STEPS}")
+
+    schedule = None
+    if filtered:
+        times = t_final * np.arange(1, filter_count + 1) / filter_count
+        schedule = FilterSchedule(build_filter(ops, filter_spec).F, times=times)
 
     def crash_check(u):
         # a non-finite entry, or a finite state whose u * u overflows, makes

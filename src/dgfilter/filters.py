@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import OperatorSet
+from .operators import OperatorSet, gram_diagonal
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ def _mass_product(xmat: np.ndarray, w: np.ndarray) -> np.ndarray:
 def quadrature_gram(vmat: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Gram matrix V^T M V of the modal basis under the quadrature rule.
 
-    For exact LGL operators this is diag(1, ..., 1, 2 + 1/N): every product
-    of modes is integrated exactly except the last mode against itself.
+    For exact LGL operators this is diag(:func:`gram_diagonal`).
     """
     return _mass_product(vmat, w)
 
@@ -161,10 +160,7 @@ def verify_filter(ops: OperatorSet, spec: FilterSpec) -> FilterVerification:
     del gap
     kmat = quadrature_gram(ops.V, ops.weights)
     gram_last = float(kmat[n, n])
-    gram_error = max(
-        float(np.max(np.abs(np.diag(kmat)[:n] - 1.0))),
-        abs(gram_last - (2.0 + 1.0 / n)),
-    )
+    gram_error = float(np.max(np.abs(np.diag(kmat) - gram_diagonal(n))))
     np.fill_diagonal(kmat, 0.0)
     gram_offdiag = float(np.max(np.abs(kmat, out=kmat)))
     del kmat

@@ -9,6 +9,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
+from .timestepping import MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -21,8 +22,8 @@ class FvConfig:
     t_final: float = 2.25
 
     def __post_init__(self):
-        if self.cells < 10:
-            raise ValueError("reference grid needs at least 10 cells")
+        if not 10 <= self.cells <= MAX_STEPS:
+            raise ValueError(f"reference grid needs 10 to {MAX_STEPS} cells, got {self.cells}")
         if not 0.0 < self.cfl <= 0.95:
             raise ValueError("forward Euler needs cfl in (0, 0.95]")
         if self.domain[1] <= self.domain[0]:
@@ -46,9 +47,13 @@ def solve_fv_burgers(config: FvConfig,
 
     Cell averages are initialized with midpoint sampling, first-order
     consistent with the scheme itself. Local Lax-Friedrichs interface
-    fluxes telescope, so total mass is conserved to roundoff.
+    fluxes telescope, so total mass is conserved to roundoff. A first step
+    ``cfl dx / max|u0|`` that needs more than ``MAX_STEPS`` steps to reach
+    ``t_final`` is rejected; by the maximum principle no later step is shorter.
     """
     x = cell_centers(config)
     u0 = np.ascontiguousarray(init(x), dtype=float)
+    if config.t_final * float(np.max(np.abs(u0))) > MAX_STEPS * config.cfl * config.dx:
+        raise ValueError(f"t_final / dt of the first step exceeds the step cap {MAX_STEPS}")
     u, steps = kernels.fv_burgers(u0, config.dx, config.cfl, config.t_final)
     return x, u, steps

@@ -14,7 +14,8 @@ RK3_A = (0.0, -5.0 / 9.0, -153.0 / 128.0)
 RK3_B = (1.0 / 3.0, 15.0 / 16.0, 8.0 / 15.0)
 RK3_C = (0.0, 1.0 / 3.0, 3.0 / 4.0)
 
-# Step cap for a fixed dt: fixed_steps holds t_final / dt start times in memory.
+# Step cap: bounds fixed_steps' array of t_final / dt start times, the Burgers filter
+# count, the first step of a CFL-stepped run (Burgers, FV) and the FV grid size.
 MAX_STEPS = 10**7
 
 

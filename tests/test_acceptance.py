@@ -23,7 +23,7 @@ from dgfilter.filters import (
     contractivity_spectrum,
 )
 from dgfilter.operators import build_operators, sbp_residual
-from helpers import discrete_norm, shock_position
+from helpers import discrete_norm, shock_position, trapezoid_weights
 
 
 def check(label: str, ok: bool, detail: str = ""):
@@ -206,13 +206,6 @@ def test_criterion_7_fv_cross_check(burgers_runs, fv_reference):
 
 
 def test_criterion_8_mismatched_mass_negative_control():
-    def trapezoid_weights(nodes):
-        w = np.empty(nodes.size)
-        w[0] = 0.5 * (nodes[1] - nodes[0])
-        w[-1] = 0.5 * (nodes[-1] - nodes[-2])
-        w[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
-        return w
-
     found_positive = False
     details = []
     for n in (8, 16, 24):

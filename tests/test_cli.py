@@ -2,7 +2,7 @@
 
 import pytest
 
-from dgfilter import cli, experiments, operators
+from dgfilter import cli, experiments, kernels, operators
 from dgfilter.cli import _parse_n_list, main
 from dgfilter.experiments import CSV_HEADER
 from dgfilter.filters import FilterSpec
@@ -141,6 +141,12 @@ class TestExitCodes:
                       "--out", "{tmp}/b.csv"], id="burgers-negative-cfl"),
         pytest.param(["varspeed", "--dt", "0", "--out", "{tmp}/v.csv"], id="varspeed-dt0"),
         pytest.param(["fv-reference", "--cells", "5", "--out", "{tmp}/f.csv"], id="fv-cells5"),
+        # beyond MAX_STEPS: numpy could not allocate the grid
+        pytest.param(["fv-reference", "--cells", "10000000000000", "--out", "{tmp}/f.csv"],
+                     id="fv-cells-above-cap"),
+        # a first step of about 1e-12: far more than MAX_STEPS steps to t = 2.25
+        pytest.param(["burgers", "--variant", "skew_unfiltered", "--n", "8", "--cfl", "1e-9",
+                      "--out", "{tmp}/b.csv"], id="burgers-tiny-cfl"),
         pytest.param(["convergence", "--n-list", "3:5", "--out", "{tmp}/c.csv"],
                      id="convergence-low-degrees"),
         pytest.param(["fv-reference", "--cells", "100", "--out", "{tmp}/missing/f.csv"],
@@ -160,17 +166,32 @@ class TestExitCodes:
     ])
     def test_rejected_input_is_exit_two_with_one_line(self, argv, tmp_path, capsys,
                                                       monkeypatch):
-        # no rejected input reaches the FV reference solve, the one study
-        # among these that runs long enough to matter
+        # no rejected input reaches the FV reference solve or the Burgers time
+        # stepping, the runs among these that are long enough to matter
         def never_called(*args, **kwargs):
-            raise AssertionError("the FV driver ran on rejected input")
+            raise AssertionError("a study ran on rejected input")
 
         monkeypatch.setattr(experiments, "run_fv_reference", never_called)
+        monkeypatch.setattr(experiments, "integrate", never_called)
         code = main([a.format(tmp=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("dgfilter: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_fv_first_step_beyond_the_step_cap_is_exit_two(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the one rejection made inside the FV driver, so the kernel stands in
+        # as the part that must not run
+        def never_called(*args, **kwargs):
+            raise AssertionError("the FV kernel ran on rejected input")
+
+        monkeypatch.setattr(kernels, "fv_burgers", never_called)
+        code = main(["fv-reference", "--cfl", "1e-9", "--out", str(tmp_path / "f.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("dgfilter: error: ") and err.count("\n") == 1
+        assert not (tmp_path / "f.csv").exists()
 
     @pytest.mark.parametrize("n", [397, 440, 498, 504, 507])
     def test_ops_check_passes_at_high_degree(self, n, capsys):

@@ -264,6 +264,16 @@ class TestBurgersDriver:
         with pytest.raises(ValueError, match=match):
             run_burgers(variant, **kwargs)
 
+    @pytest.mark.parametrize("variant", ["cons_filtered", "skew_unfiltered"])
+    def test_first_step_beyond_the_step_cap_is_rejected_before_stepping(self, variant,
+                                                                         monkeypatch):
+        def never_called(*args, **kwargs):
+            raise AssertionError("integrate ran on rejected input")
+
+        monkeypatch.setattr(experiments, "integrate", never_called)
+        with pytest.raises(ValueError, match="step cap"):
+            run_burgers(variant, n=8, cfl=1e-9)
+
     @pytest.mark.parametrize("t_final", [2.25, 0.5, 0.1, 1.0 / 3.0])
     @pytest.mark.parametrize("count", [1, 3, 16, 99991])
     def test_filter_times_match_the_tuple_formula(self, t_final, count, monkeypatch):

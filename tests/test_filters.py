@@ -15,16 +15,7 @@ from dgfilter.filters import (
     verify_filter,
 )
 from dgfilter.operators import build_operators
-from helpers import discrete_norm
-
-
-def trapezoid_weights(nodes):
-    """Composite trapezoid weights on the (non-uniform) node set."""
-    w = np.empty(nodes.size)
-    w[0] = 0.5 * (nodes[1] - nodes[0])
-    w[-1] = 0.5 * (nodes[-1] - nodes[-2])
-    w[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
-    return w
+from helpers import discrete_norm, trapezoid_weights
 
 
 class TestFilterSpec:

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from dgfilter import kernels
 from dgfilter.fv import FvConfig, cell_centers, solve_fv_burgers
+from dgfilter.timestepping import MAX_STEPS
 
 
 class TestFvConfig:
@@ -14,12 +16,23 @@ class TestFvConfig:
         assert cfg.cells == 10000 and cfg.cfl == 0.9
         assert cfg.dx == pytest.approx(2e-4)
 
-    @pytest.mark.parametrize("bad", [dict(cells=5), dict(cfl=0.0), dict(cfl=1.2),
+    @pytest.mark.parametrize("bad", [dict(cells=5), dict(cells=MAX_STEPS + 1),
+                                     dict(cfl=0.0), dict(cfl=1.2),
                                      dict(domain=(2.0, 0.0)), dict(t_final=0.0),
                                      dict(t_final=math.nan), dict(t_final=math.inf)])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             FvConfig(**bad)
+
+
+def test_first_step_beyond_the_step_cap_is_rejected_before_stepping(monkeypatch):
+    # cfl 1e-9 at 10000 cells: about 4.5e12 steps of the LLF sweep
+    def never_called(*args, **kwargs):
+        raise AssertionError("the FV kernel ran on rejected input")
+
+    monkeypatch.setattr(kernels, "fv_burgers", never_called)
+    with pytest.raises(ValueError, match="step cap"):
+        solve_fv_burgers(FvConfig(cfl=1e-9), lambda x: 0.2 * (1.0 + np.cos(np.pi * x)))
 
 
 def test_cell_centers_cover_domain():

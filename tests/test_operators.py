@@ -14,7 +14,7 @@ from dgfilter.operators import (
     sbp_residual,
     vandermonde,
 )
-from helpers import discrete_norm
+from helpers import discrete_norm, trapezoid_weights
 
 # the degrees the benchmark's verify sweep runs: 1..64 and a spread up to 512
 SWEEP_NS = (*range(1, 65), *sorted({*range(96, 513, 32), 397, 440, 498, 504, 507}))
@@ -89,6 +89,17 @@ class TestNodesWeights:
         monkeypatch.setattr(operators, "_legendre_pair", counted)
         lgl_nodes_weights(n)
         assert len(calls) <= 3
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 512])
+    def test_recurrence_table_rows_are_the_pair(self, n):
+        """The table behind V and the Newton passes come from one recurrence, bit for bit."""
+        x = np.concatenate([lgl_nodes_weights(n)[0],
+                            np.random.default_rng(n).uniform(-1.0, 1.0, 7)])
+        table = np.empty((n + 1, x.size))
+        operators._legendre_pair(n, x, table)
+        assert table[0].tobytes() == np.ones_like(x).tobytes()
+        for k in range(1, n + 1):
+            assert table[k].tobytes() == operators._legendre_pair(k, x)[0].tobytes()
 
     @pytest.mark.parametrize("n", [2, 5, 16, 48])
     def test_quadrature_exactness(self, n):
@@ -191,10 +202,7 @@ class TestVandermonde:
         # negative control: the Gram identity, and so Vinv, needs the LGL rule
         n = 16
         nodes = lgl_nodes_weights(n)[0]
-        w = np.empty(n + 1)
-        w[0], w[-1] = 0.5 * (nodes[1] - nodes[0]), 0.5 * (nodes[-1] - nodes[-2])
-        w[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
-        v, vinv = vandermonde(nodes, w)
+        v, vinv = vandermonde(nodes, trapezoid_weights(nodes))
         assert np.max(np.abs(v @ vinv - np.eye(n + 1))) > 1e-6
 
 
@@ -249,6 +257,21 @@ class TestSbp:
         d_bad = ops.D.copy()
         d_bad[0, 0] += 1e-3
         assert sbp_residual(replace(ops, D=d_bad)) >= 1e-3
+
+    def test_build_holds_the_ops_check_tolerance(self, monkeypatch):
+        # a residual of 1e-10 is below a loose fixed bound such as 1e-9 but
+        # above the tolerance that ops check and every build share
+        derivative_matrix = operators.derivative_matrix
+
+        def perturbed(nodes, weights):
+            dmat = derivative_matrix(nodes, weights)
+            dmat[0, 1] += 1e-10 / weights[0]
+            return dmat
+
+        monkeypatch.setattr(operators, "derivative_matrix", perturbed)
+        assert 5e-11 < sbp_residual(build_operators(16, check=False)) < 1e-9
+        with pytest.raises(ArithmeticError, match="summation-by-parts"):
+            build_operators(16)
 
     def test_perturbation_scales_with_weight(self):
         ops = build_operators(16)
