@@ -11,6 +11,10 @@ import numpy as np
 from . import kernels
 from .timestepping import MAX_STEPS
 
+# Cell updates (cells x steps) one reference solve may make: about a minute
+# at the 1.5e8 updates per second of the LLF sweep on a 2-core machine.
+MAX_CELL_UPDATES = 10**10
+
 
 @dataclass(frozen=True)
 class FvConfig:
@@ -50,10 +54,15 @@ def solve_fv_burgers(config: FvConfig,
     fluxes telescope, so total mass is conserved to roundoff. A first step
     ``cfl dx / max|u0|`` that needs more than ``MAX_STEPS`` steps to reach
     ``t_final`` is rejected; by the maximum principle no later step is shorter.
+    So is a run whose cells times that step bound exceed ``MAX_CELL_UPDATES``.
     """
     x = cell_centers(config)
     u0 = np.ascontiguousarray(init(x), dtype=float)
-    if config.t_final * float(np.max(np.abs(u0))) > MAX_STEPS * config.cfl * config.dx:
+    travel = config.t_final * float(np.max(np.abs(u0)))  # the steps are at most travel / (cfl dx)
+    if travel > MAX_STEPS * config.cfl * config.dx:
         raise ValueError(f"t_final / dt of the first step exceeds the step cap {MAX_STEPS}")
+    if config.cells * travel > MAX_CELL_UPDATES * config.cfl * config.dx:
+        raise ValueError(f"cells x steps exceeds the work cap of "
+                         f"{MAX_CELL_UPDATES:.0e} cell updates")
     u, steps = kernels.fv_burgers(u0, config.dx, config.cfl, config.t_final)
     return x, u, steps

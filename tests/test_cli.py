@@ -193,6 +193,19 @@ class TestExitCodes:
         assert err.startswith("dgfilter: error: ") and err.count("\n") == 1
         assert not (tmp_path / "f.csv").exists()
 
+    def test_fv_work_beyond_the_cell_update_cap_is_exit_two(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # 10^6 cells and a first-step bound of 5e5 steps: 5e11 cell updates
+        def never_called(*args, **kwargs):
+            raise AssertionError("the FV kernel ran on rejected input")
+
+        monkeypatch.setattr(kernels, "fv_burgers", never_called)
+        code = main(["fv-reference", "--cells", "1000000", "--out", str(tmp_path / "f.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("dgfilter: error: ") and "work cap" in err and err.count("\n") == 1
+        assert not (tmp_path / "f.csv").exists()
+
     @pytest.mark.parametrize("n", [397, 440, 498, 504, 507])
     def test_ops_check_passes_at_high_degree(self, n, capsys):
         # product-form barycentric weights once pushed the SBP residual past
@@ -217,8 +230,8 @@ class TestExitCodes:
         # the LGL rule must show in the printed V Vinv - I, not pass silently
         lgl_nodes_weights = operators.lgl_nodes_weights
 
-        def perturbed(n):
-            nodes, weights = lgl_nodes_weights(n)
+        def perturbed(n, table=None):
+            nodes, weights = lgl_nodes_weights(n, table)
             weights[n // 2] *= 1.0 + 1e-9
             return nodes, weights
 

@@ -35,6 +35,16 @@ def test_first_step_beyond_the_step_cap_is_rejected_before_stepping(monkeypatch)
         solve_fv_burgers(FvConfig(cfl=1e-9), lambda x: 0.2 * (1.0 + np.cos(np.pi * x)))
 
 
+def test_work_beyond_the_cell_update_cap_is_rejected_before_stepping(monkeypatch):
+    # 10^6 cells: a first-step bound of 5e5 steps, 5e11 cell updates
+    def never_called(*args, **kwargs):
+        raise AssertionError("the FV kernel ran on rejected input")
+
+    monkeypatch.setattr(kernels, "fv_burgers", never_called)
+    with pytest.raises(ValueError, match="work cap"):
+        solve_fv_burgers(FvConfig(cells=10**6), lambda x: 0.2 * (1.0 + np.cos(np.pi * x)))
+
+
 def test_cell_centers_cover_domain():
     cfg = FvConfig(cells=10)
     x = cell_centers(cfg)

@@ -78,17 +78,18 @@ class TestNodesWeights:
 
     @pytest.mark.parametrize("n", SWEEP_NS)
     def test_at_most_three_legendre_passes(self, n, monkeypatch):
-        """The asymptotic seed converges in three Newton passes; the last one also gives the weights."""
+        """The asymptotic seed converges in three Newton passes; the last one also
+        gives the weights and the table behind V, so a build runs three recurrences."""
         calls = []
         pair = operators._legendre_pair
 
-        def counted(deg, x):
+        def counted(deg, x, table=None):
             calls.append(deg)
-            return pair(deg, x)
+            return pair(deg, x, table)
 
         monkeypatch.setattr(operators, "_legendre_pair", counted)
-        lgl_nodes_weights(n)
-        assert len(calls) <= 3
+        build_operators(n)
+        assert (len(calls) == 3) if n >= 4 else (len(calls) <= 4)
 
     @pytest.mark.parametrize("n", [1, 2, 64, 512])
     def test_recurrence_table_rows_are_the_pair(self, n):
@@ -100,6 +101,17 @@ class TestNodesWeights:
         assert table[0].tobytes() == np.ones_like(x).tobytes()
         for k in range(1, n + 1):
             assert table[k].tobytes() == operators._legendre_pair(k, x)[0].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65, 397, 512])
+    def test_build_folds_the_vandermonde_table_into_newton(self, n):
+        """The table of the last Newton pass, mirrored, is the one vandermonde evaluates."""
+        ops = build_operators(n)
+        nodes, weights = lgl_nodes_weights(n)
+        v, vinv = vandermonde(nodes, weights)
+        assert ops.nodes.tobytes() == nodes.tobytes()
+        assert ops.weights.tobytes() == weights.tobytes()
+        assert ops.V.tobytes() == v.tobytes()
+        assert ops.Vinv.tobytes() == vinv.tobytes()
 
     @pytest.mark.parametrize("n", [2, 5, 16, 48])
     def test_quadrature_exactness(self, n):
