@@ -21,7 +21,7 @@ from .filters import FilterSpec, build_filter
 from .fv import FvConfig, solve_fv_burgers
 from .operators import OperatorSet, build_operators
 from .timestepping import (MAX_STEPS, RK3_C, FilterSchedule, Trajectory, fixed_steps, integrate,
-                           rk3_affine_step)
+                           rk3_affine_step, rk3_step)
 
 CSV_HEADER = "experiment,variant,N,dt,t_or_N,value,extra"
 
@@ -124,59 +124,40 @@ def write_csv(path, records: Sequence[ExperimentRecord]) -> None:
 # drivers
 # ---------------------------------------------------------------------------
 
-# steps of a fixed-step linear run taken as one affine map, with their
-# inflow asked for at once as one (STEP_CHUNK, 3) block, never the whole
-# run's; a power of two, since the chunk map is built by doubling
+# largest number of steps of a fixed-step linear run taken as one affine
+# map, whose inflow is asked for as one (STEP_CHUNK, 3) block; a power of
+# two, since the maps are built by doubling, each doubling an N^3 product
 STEP_CHUNK = 64
 
 
 def _linear_rhs_matrix(problem: ProblemSpec, ops: OperatorSet):
     """(L, r) with make_rhs(problem, ops)(u, t) = L u + r g(t) for an advection problem.
 
-    Column j of L is the right-hand side of the unit vector e_j under zero
-    inflow; r is the right-hand side of u = 0 under unit inflow.
+    L is the right-hand side of the identity, taken as N+1 states at once,
+    under zero inflow; r is the right-hand side of u = 0 under unit inflow.
     """
     n1 = ops.N + 1
-    rhs = make_rhs(replace(problem, inflow=lambda t: 0.0), ops)
-    lmat = np.empty((n1, n1))
-    e = np.zeros(n1)
-    for j in range(n1):
-        e[j] = 1.0
-        lmat[:, j] = rhs(e, 0.0)
-        e[j] = 0.0
+    lmat = make_rhs(replace(problem, inflow=lambda t: 0.0), ops)(np.eye(n1), 0.0)
     r = make_rhs(replace(problem, inflow=lambda t: 1.0), ops)(np.zeros(n1), 0.0)
     return lmat, r
-
-
-def _chunk_map(a_inc: np.ndarray, bmat: np.ndarray):
-    """(E_K, B_K): K = STEP_CHUNK steps of u <- u + (E u + B g), with
-    E = ``a_inc`` and B = ``bmat``, as one step u <- u + (E_K u + B_K g),
-    where g stacks the K steps' inflow blocks in order.
-
-    E_K = (I + E)^K - I by doubling, E <- E + E + E E, which keeps the
-    increment form; B_K = [A^(K-1) B, ..., A B, B] with A = I + E.
-    """
-    e_k = a_inc
-    for _ in range(STEP_CHUNK.bit_length() - 1):
-        e_k = e_k + e_k + e_k @ e_k
-    blocks = [bmat]
-    for _ in range(STEP_CHUNK - 1):
-        blocks.append(blocks[-1] + a_inc @ blocks[-1])
-    return e_k, np.hstack(blocks[::-1])
 
 
 def _run_linear(problem: ProblemSpec, n: int, u0_fn, exact_fn, t_final: float, dt: float,
                 filter_spec: Optional[FilterSpec]):
     """One fixed-step linear advection run at degree ``n`` to ``t_final``.
 
-    Takes the steps :func:`integrate` would with ``dt_fn = lambda u: dt``,
-    each as the affine map u <- A u + B g with A = F S and B = F Q (S and Q from
-    :func:`rk3_affine_step`; F is left out when ``filter_spec`` is None) and
-    g the inflow at the step's stage times. A is applied as u + (A - I) u.
-    Every full chunk of ``STEP_CHUNK`` steps is applied at once as
-    u + (E_K u + B_K g) (see :func:`_chunk_map`); the leftover steps and a
-    truncated last step keep the one-step maps. The inflow is asked for in
-    the same order either way.
+    Takes the steps :func:`integrate` would with ``dt_fn = lambda u: dt``.
+    One full step is the affine map u <- A u + B g with A = F S and B = F Q
+    (S and Q from :func:`rk3_affine_step`; F is left out when ``filter_spec``
+    is None) and g the inflow at the step's three stage times. It is built
+    once, as E = A - I and B, and applied as u + (E u + B g). The map of 2k
+    steps comes from the map of k by doubling: E <- E + E + E E and
+    B <- [B + E B, B], where g stacks the steps' inflow in order. While
+    doubling, the map of k steps is applied for each set bit k of the full
+    step count below ``STEP_CHUNK``, in time order; the ``STEP_CHUNK`` map
+    then takes every remaining chunk. A truncated last step is one
+    :func:`rk3_step` of L u + r g followed by F. The inflow is asked for at
+    the same stage times, in the same order, as the step-by-step loop.
     Returns (x, final state, max-norm error against ``exact_fn(x, t_final)``).
     """
     starts, h_last = fixed_steps(t_final, dt)  # checks dt before any operator work
@@ -186,32 +167,30 @@ def _run_linear(problem: ProblemSpec, n: int, u0_fn, exact_fn, t_final: float, d
     lmat, r = _linear_rhs_matrix(problem, ops)
     n1 = ops.N + 1
 
-    def step_map(h):
-        inc = rk3_affine_step(lmat, r, h)
-        if fmat is not None:
-            # F S - I = F (S - I) + (F - I)
-            inc = fmat @ inc
-            inc[:, :n1] += fmat - np.eye(n1)
-        return inc[:, :n1], inc[:, n1:], np.multiply(RK3_C, h)
+    inc = rk3_affine_step(lmat, r, dt)
+    if fmat is not None:
+        # F S - I = F (S - I) + (F - I)
+        inc = fmat @ inc
+        inc[:, :n1] += fmat - np.eye(n1)
+    e, b = inc[:, :n1], inc[:, n1:]
+    c_dt = np.multiply(RK3_C, dt)
 
     starts = starts.copy()  # re-allocated above the operators: held below them, +0.4 MB peak RSS
     n_full = starts.size if h_last == dt else starts.size - 1
-    maps = [(starts[:n_full], step_map(dt))]
+    u, done, k = u0_fn(x), 0, 1
+    while done < n_full:
+        if n_full & k or k == STEP_CHUNK:
+            g = problem.inflow(starts[done:done + k, None] + c_dt)
+            u = u + (e @ u + b @ g.ravel())
+            done += k
+        if k < STEP_CHUNK and done < n_full:
+            e, b = e + e + e @ e, np.hstack([b + e @ b, b])
+            k += k
     if n_full < starts.size:
-        maps.append((starts[n_full:], step_map(h_last)))
-    del lmat
-
-    u = u0_fn(x)
-    for t_starts, (a_inc, bmat, c_h) in maps:
-        if t_starts.size >= STEP_CHUNK:
-            e_k, b_k = _chunk_map(a_inc, bmat)
-        for k in range(0, t_starts.size, STEP_CHUNK):
-            g = problem.inflow(t_starts[k:k + STEP_CHUNK, None] + c_h)
-            if len(g) == STEP_CHUNK:
-                u = u + (e_k @ u + b_k @ g.ravel())
-            else:
-                for force in g @ bmat.T:
-                    u = u + (a_inc @ u + force)
+        inflow = problem.inflow
+        u = rk3_step(u, float(starts[-1]), h_last, lambda v, s: lmat @ v + r * inflow(s))
+        if fmat is not None:
+            u = fmat @ u
     err = error_linf(u, lambda xx: exact_fn(xx, t_final), x)
     return x, u, err
 

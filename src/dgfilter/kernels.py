@@ -51,7 +51,7 @@ def burgers_skew_rhs(u, dmat, w, scale):
 
 def varspeed_rhs(u, dmat, a_nodes, w, scale, a_left, g_in):
     """Advective-form variable-speed transport with a left inflow penalty."""
-    dudt = -a_nodes * (scale * (dmat @ u))
+    dudt = -a_nodes.reshape((-1,) + (1,) * (u.ndim - 1)) * (scale * (dmat @ u))
     dudt[0] -= scale * a_left * (u[0] - g_in) / w[0]
     return dudt
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface: exit codes and CSV output."""
 
+from dataclasses import replace
+
 import pytest
 
 from dgfilter import cli, experiments, kernels, operators
@@ -240,6 +242,25 @@ class TestExitCodes:
         out = capsys.readouterr().out
         line = next(ln for ln in out.splitlines() if ln.startswith("V Vinv - I max"))
         assert float(line.split(":")[1]) > 1e-11  # its tolerance at N <= 64
+
+    @pytest.mark.parametrize("factor, code", [(1.0 + 1e-13, 1), (1.0 + 1e-14, 0)])
+    def test_ops_check_bounds_the_weight_sum(self, factor, code, capsys, monkeypatch):
+        # at N = 1 the weights are (1, 1): scaled by 1 + 1e-13, their sum is
+        # off by 2e-13, above its tolerance 1e-13, while the SBP residual
+        # (1e-13) and V Vinv - I stay within theirs
+        build_operators = operators.build_operators
+
+        def scaled(n, check=True):
+            ops = build_operators(n, check)
+            return replace(ops, weights=ops.weights * factor)
+
+        monkeypatch.setattr(cli, "build_operators", scaled)
+        assert main(["ops", "check", "--n", "1"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        printed = {k.strip(): float(v) for k, v in (ln.split(":") for ln in lines[1:-1])}
+        assert printed["SBP residual"] <= operators.sbp_tolerance(1)
+        assert printed["V Vinv - I max"] <= 1e-11
+        assert printed["weight-sum error"] == pytest.approx(2.0 * (factor - 1.0), rel=1e-2)
 
 
 class TestCsvOutputs:

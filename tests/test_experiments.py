@@ -1,5 +1,7 @@
 """Tests for the experiment drivers, diagnostics and CSV emission."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,31 @@ def linear_case(kind, calls):
     return problem, 40, lambda x: np.sin(np.pi * x), varspeed_exact
 
 
+def probe_rhs_matrix(problem, ops):
+    """(L, r) read off the right-hand side one unit vector at a time."""
+    n1 = ops.N + 1
+    rhs = make_rhs(replace(problem, inflow=lambda t: 0.0), ops)
+    lmat = np.empty((n1, n1))
+    e = np.zeros(n1)
+    for j in range(n1):
+        e[j] = 1.0
+        lmat[:, j] = rhs(e, 0.0)
+        e[j] = 0.0
+    r = make_rhs(replace(problem, inflow=lambda t: 1.0), ops)(np.zeros(n1), 0.0)
+    return lmat, r
+
+
+@pytest.mark.parametrize("kind", ["constant", "variable"])
+@pytest.mark.parametrize("n", [1, 7, 64, 256, 512])
+def test_batched_rhs_matrix_matches_the_unit_vector_probe(kind, n):
+    problem, _, _, _ = linear_case(kind, [])
+    ops = build_operators(n)
+    lmat, r = _linear_rhs_matrix(problem, ops)
+    ref_lmat, ref_r = probe_rhs_matrix(problem, ops)
+    assert lmat.flags.c_contiguous
+    assert lmat.tobytes() == ref_lmat.tobytes() and r.tobytes() == ref_r.tobytes()
+
+
 class TestLinearPropagator:
     """The affine step propagator of the linear studies against integrate."""
 
@@ -169,13 +196,29 @@ class TestLinearPropagator:
         (0.25, 1.0 / 64),   # exact multiple: no truncated step
         (0.25, 1.0 / 256),  # exactly one chunk
         (0.5, 1.0 / 256),   # exactly two chunks
-        (0.2671, 2e-3),     # two chunks, 5 one-step steps and a truncated step
+        (0.2671, 2e-3),     # two chunks, residue 5 (1 + 4) and a truncated step
+        (3 / 256, 1 / 256),       # 3 steps, below one chunk
+        (63 / 256, 1 / 256),      # 63 steps: every power below the chunk
+        (63.5 / 256, 1 / 256),    # the same and a truncated step
+        (65 / 256, 1 / 256),      # one chunk and one step
+        (65.5 / 256, 1 / 256),    # the same and a truncated step
+        (127 / 256, 1 / 256),     # one chunk and every smaller power
+        (127.5 / 256, 1 / 256),   # the same and a truncated step
+        (1e-3, 2e-3),             # only a truncated step
     ])
-    def test_matches_integrate(self, kind, filtered, t_final, dt):
+    def test_matches_integrate(self, kind, filtered, t_final, dt, monkeypatch):
         spec = FilterSpec() if filtered else None
-        prop_calls, ref_calls = [], []
+        prop_calls, ref_calls, step_maps = [], [], []
         problem, n, u0_fn, exact_fn = linear_case(kind, prop_calls)
+        rk3_affine_step = experiments.rk3_affine_step
+
+        def counted(*args):
+            step_maps.append(args)
+            return rk3_affine_step(*args)
+
+        monkeypatch.setattr(experiments, "rk3_affine_step", counted)
         x, u, err = _run_linear(problem, n, u0_fn, exact_fn, t_final, dt, spec)
+        assert len(step_maps) == 1  # one step map per run
 
         # the reference filters at the end of each step, found one t += h at a time
         eps = 1e-12 * max(1.0, t_final)
@@ -198,7 +241,7 @@ class TestLinearPropagator:
         assert err == error_linf(u, lambda xx: exact_fn(xx, t_final), x)
 
     def test_step_chunk_is_a_power_of_two(self):
-        # the chunk map is built by doubling
+        # the maps are built by doubling
         assert STEP_CHUNK > 1 and STEP_CHUNK & (STEP_CHUNK - 1) == 0
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -206,8 +249,8 @@ class TestLinearPropagator:
     @pytest.mark.parametrize("kind", ["constant", "variable"])
     @pytest.mark.parametrize("filtered", [True, False])
     def test_roundoff_against_long_double(self, kind, filtered):
-        # 200 full steps (three chunks and 8 one-step steps) and a truncated one
-        t_final, dt = 0.4011, 2e-3
+        # 127 full steps (one chunk and every smaller power) and a truncated one
+        t_final, dt = 0.2551, 2e-3
         spec = FilterSpec() if filtered else None
         problem, n, u0_fn, exact_fn = linear_case(kind, [])
         x, u, _ = _run_linear(problem, n, u0_fn, exact_fn, t_final, dt, spec)

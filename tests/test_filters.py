@@ -1,6 +1,7 @@
 """Tests for the modal cutoff filter and its contractivity diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,6 +251,16 @@ class TestVerifyFilter:
         rep = verify_filter(build_operators(24), FilterSpec())
         assert rep.passed
         assert rep.gram_last == pytest.approx(2.0 + 1.0 / 24.0, abs=1e-12)
+
+    @pytest.mark.parametrize("quantity, tol", [
+        ("gram_offdiag", "GRAM_TOL"), ("gram_error", "GRAM_TOL"),
+        ("adjoint_gap", "adjoint_tol"), ("lambda_max", "lambda_tol"),
+    ])
+    def test_each_check_passes_at_its_tolerance_and_fails_just_above(self, quantity, tol):
+        rep = verify_filter(build_operators(24), FilterSpec())
+        bound = getattr(rep, tol)
+        assert replace(rep, **{quantity: bound}).passed
+        assert not replace(rep, **{quantity: float(np.nextafter(bound, np.inf))}).passed
 
     def test_report_fails_when_quantities_degrade(self):
         rep = verify_filter(build_operators(24), FilterSpec())

@@ -107,3 +107,49 @@ def test_burgers_kernels_keep_a_non_finite_state_non_finite(kernel, reference, w
         ref = reference(u, ops.D, ops.weights, 1.0)
     assert not np.all(np.isfinite(out))
     assert np.array_equal(out, ref, equal_nan=True)
+
+
+def advection_kernels(rng, n):
+    """The two advection kernels as functions of (u, dmat), with random
+    speeds, weights, scale and inflow data at degree ``n``. The constant
+    speed is a multiple of 1/4, so that ``a * u`` is exact for small
+    integers ``u``."""
+    w = rng.uniform(0.1, 1.0, n + 1)
+    a_nodes = rng.uniform(-1.0, 1.0, n + 1)
+    scale, g_in = rng.uniform(0.5, 4.0, 2)
+    a = rng.integers(1, 8) / 4
+    return [lambda u, dmat: kernels.advection_rhs(u, dmat, w, scale, a, g_in),
+            lambda u, dmat: kernels.varspeed_rhs(u, dmat, a_nodes, w, scale, abs(a), g_in)]
+
+
+def by_columns(kernel, u, dmat):
+    return np.stack([kernel(u[:, j], dmat) for j in range(u.shape[1])], axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 256, 512])
+def test_advection_kernels_take_a_stack_of_one_entry_states(n):
+    # As in the batched L of the linear studies, each column holds one
+    # nonzero entry. Every sum in D @ u then has one nonzero term, so it is
+    # exact in any order, and the stack equals the columns bit for bit.
+    rng = np.random.default_rng(n)
+    dmat = build_operators(n).D
+    m = 2 * n + 3
+    u = np.zeros((n + 1, m))
+    u[rng.integers(0, n + 1, m), np.arange(m)] = rng.uniform(-2.0, 2.0, m)
+    for kernel in advection_kernels(rng, n):
+        out = kernel(u, dmat)
+        assert out.shape == u.shape
+        assert out.tobytes() == by_columns(kernel, u, dmat).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 256])
+def test_advection_kernels_take_a_stack_of_dense_states(n):
+    # With dense columns, the matrix product may sum in another order than
+    # the matrix-vector product. Small integers in D and u (and a dyadic
+    # constant speed) keep every sum exact, so the rest of each kernel is
+    # compared bit for bit.
+    rng = np.random.default_rng(n)
+    dmat = rng.integers(-4, 5, (n + 1, n + 1)).astype(float)
+    u = rng.integers(-8, 9, (n + 1, 5)).astype(float)
+    for kernel in advection_kernels(rng, n):
+        assert kernel(u, dmat).tobytes() == by_columns(kernel, u, dmat).tobytes()

@@ -9,6 +9,7 @@ as the f-string ``{v:.17g}`` does.
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -142,13 +143,16 @@ def test_conservative_burgers_conserves_mass(case):
 @given(st.integers(10, 128).flatmap(lambda cells: st.tuples(
     st.just(cells), arrays(np.float64, cells, elements=st.floats(-1.0, 1.0)),
     st.floats(0.01, 1.0))))
+# two rounded sums of the mass 1.709 differ by 2 ulp here, above the bound
+@example((88, np.array([0.0] + [0.8640999439653871] * 87), 1 / 64))
 def test_fv_conserves_mass(case):
     """Periodic LLF interface fluxes telescope, so total mass only moves by
-    the roundoff of each step's cell updates."""
+    the roundoff of each step's cell updates. The change of the cell sum is
+    taken in one exact sum, so the test's own summation adds no roundoff."""
     cells, u0, t_final = case
     config = FvConfig(cells=cells, t_final=t_final)
     _, u, steps = solve_fv_burgers(config, lambda x: u0)
-    drift = abs(float(np.sum(u) * config.dx) - float(np.sum(u0) * config.dx))
+    drift = abs(math.fsum(np.concatenate([u, -u0]))) * config.dx
     assert drift <= steps * cells * EPS * float(np.max(np.abs(u0))) * config.dx
 
 
