@@ -19,7 +19,7 @@ import numpy as np
 from .equations import ProblemSpec, make_rhs
 from .filters import FilterSpec, build_filter
 from .fv import FvConfig, solve_fv_burgers
-from .operators import OperatorSet, build_operators
+from .operators import OperatorSet, build_operator_sets, build_operators
 from .timestepping import (MAX_STEPS, RK3_C, FilterSchedule, Trajectory, fixed_steps, integrate,
                            rk3_affine_step, rk3_step)
 
@@ -142,11 +142,12 @@ def _linear_rhs_matrix(problem: ProblemSpec, ops: OperatorSet):
     return lmat, r
 
 
-def _run_linear(problem: ProblemSpec, n: int, u0_fn, exact_fn, t_final: float, dt: float,
-                filter_spec: Optional[FilterSpec]):
-    """One fixed-step linear advection run at degree ``n`` to ``t_final``.
+def _run_linear(problem: ProblemSpec, ops: OperatorSet, u0_fn, exact_fn, t_final: float,
+                dt: float, steps: tuple[np.ndarray, float], filter_spec: Optional[FilterSpec]):
+    """One fixed-step linear advection run on the operators ``ops`` to ``t_final``.
 
-    Takes the steps :func:`integrate` would with ``dt_fn = lambda u: dt``.
+    Takes the steps ``steps = fixed_steps(t_final, dt)``, the ones
+    :func:`integrate` would with ``dt_fn = lambda u: dt``.
     One full step is the affine map u <- A u + B g with A = F S and B = F Q
     (S and Q from :func:`rk3_affine_step`; F is left out when ``filter_spec``
     is None) and g the inflow at the step's three stage times. It is built
@@ -160,8 +161,7 @@ def _run_linear(problem: ProblemSpec, n: int, u0_fn, exact_fn, t_final: float, d
     the same stage times, in the same order, as the step-by-step loop.
     Returns (x, final state, max-norm error against ``exact_fn(x, t_final)``).
     """
-    starts, h_last = fixed_steps(t_final, dt)  # checks dt before any operator work
-    ops = build_operators(n)
+    starts, h_last = steps
     fmat = None if filter_spec is None else build_filter(ops, filter_spec).F
     x = problem.physical_nodes(ops.nodes)
     lmat, r = _linear_rhs_matrix(problem, ops)
@@ -208,7 +208,8 @@ def run_convergence(n_list: Sequence[int] = range(7, 64, 2), dt: float = 4e-4,
     """Advection of the Gaussian pulse on [0, 1] with per-step filtering.
 
     Records the final-time max-norm error for each polynomial degree.
-    Boundary data is the exact pulse trace at the inflow.
+    Boundary data is the exact pulse trace at the inflow. The operators of
+    every degree come from one :func:`build_operator_sets` solve.
     """
     if len(n_list) == 0:
         raise ValueError("convergence sweep needs at least one degree")
@@ -219,13 +220,14 @@ def run_convergence(n_list: Sequence[int] = range(7, 64, 2), dt: float = 4e-4,
         pde="advection_constant", domain=(0.0, 1.0), wave_speed=1.0,
         inflow=lambda t: gaussian_pulse(0.0, t),
     )
+    steps = fixed_steps(t_final, dt)  # checks dt before any operator work
     ns, errors = [], []
-    for n in n_list:
-        _, _, err = _run_linear(problem, n, lambda xx: gaussian_pulse(xx, 0.0), gaussian_pulse,
-                                t_final, dt, filter_spec)
-        ns.append(n)
+    for ops in build_operator_sets(n_list):
+        _, _, err = _run_linear(problem, ops, lambda xx: gaussian_pulse(xx, 0.0), gaussian_pulse,
+                                t_final, dt, steps, filter_spec)
+        ns.append(ops.N)
         errors.append(err)
-        record.add(n, dt, n, err, "linf_error")
+        record.add(ops.N, dt, ops.N, err, "linf_error")
     return ConvergenceResult(ns=ns, errors=errors, record=record)
 
 
@@ -252,8 +254,9 @@ def run_varspeed(n: int = 256, dt: float = 1.0 / 2000.0, filtered: bool = True,
         inflow=lambda t: varspeed_exact(-1.0, t),
     )
     spec = filter_spec if filtered else None
-    x, u, err = _run_linear(problem, n, lambda xx: np.sin(np.pi * xx), varspeed_exact,
-                            t_final, dt, spec)
+    steps = fixed_steps(t_final, dt)  # checks dt before any operator work
+    x, u, err = _run_linear(problem, build_operators(n), lambda xx: np.sin(np.pi * xx),
+                            varspeed_exact, t_final, dt, steps, spec)
     tv = total_variation(u)
 
     record = ExperimentRecord("varspeed", filter_tag(spec))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -14,6 +14,8 @@ from .timestepping import MAX_STEPS
 # Cell updates (cells x steps) one reference solve may make: about a minute
 # at the 1.5e8 updates per second of the LLF sweep on a 2-core machine.
 MAX_CELL_UPDATES = 10**10
+# cells per block in which the caps read the initial data
+_CAP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -40,9 +42,12 @@ class FvConfig:
         return (self.domain[1] - self.domain[0]) / self.cells
 
 
-def cell_centers(config: FvConfig) -> np.ndarray:
+
+
+def cell_centers(config: FvConfig, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """Centers of cells lo..hi-1 (all by default); each one as in the whole grid."""
     x_l = config.domain[0]
-    return x_l + config.dx * (np.arange(config.cells) + 0.5)
+    return x_l + config.dx * (np.arange(lo, config.cells if hi is None else hi) + 0.5)
 
 
 def solve_fv_burgers(config: FvConfig,
@@ -55,14 +60,19 @@ def solve_fv_burgers(config: FvConfig,
     ``cfl dx / max|u0|`` that needs more than ``MAX_STEPS`` steps to reach
     ``t_final`` is rejected; by the maximum principle no later step is shorter.
     So is a run whose cells times that step bound exceed ``MAX_CELL_UPDATES``.
+    Both caps read max|u0| a block of cells at a time, before the grid is
+    allocated, so a rejected run allocates no grid.
     """
-    x = cell_centers(config)
-    u0 = np.ascontiguousarray(init(x), dtype=float)
-    travel = config.t_final * float(np.max(np.abs(u0)))  # the steps are at most travel / (cfl dx)
+    bounds = [*range(0, config.cells, _CAP_BLOCK), config.cells]
+    u_max = np.max([np.max(np.abs(init(cell_centers(config, lo, hi))))
+                    for lo, hi in zip(bounds, bounds[1:])])
+    travel = config.t_final * float(u_max)  # the steps are at most travel / (cfl dx)
     if travel > MAX_STEPS * config.cfl * config.dx:
         raise ValueError(f"t_final / dt of the first step exceeds the step cap {MAX_STEPS}")
     if config.cells * travel > MAX_CELL_UPDATES * config.cfl * config.dx:
         raise ValueError(f"cells x steps exceeds the work cap of "
                          f"{MAX_CELL_UPDATES:.0e} cell updates")
+    x = cell_centers(config)
+    u0 = np.ascontiguousarray(init(x), dtype=float)
     u, steps = kernels.fv_burgers(u0, config.dx, config.cfl, config.t_final)
     return x, u, steps

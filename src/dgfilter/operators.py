@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -17,6 +19,8 @@ _NEWTON_MAXIT = 100
 _FACTOR_BLOCK = 64
 # n * max|step| bound under which the next Newton pass is expected to be the last
 _TABLE_PREDICT = 3e-8
+# k as 0-d float arrays, the recurrence's fastest scalar operands
+_K = [np.array(float(k)) for k in range(MAX_DEGREE + 1)]
 
 
 @dataclass(frozen=True)
@@ -43,110 +47,125 @@ class OperatorSet:
     Vinv: np.ndarray
 
 
-def _legendre_pair(n: int, x: np.ndarray, table=None) -> tuple[np.ndarray, np.ndarray]:
-    """Return (P_n(x), P_{n-1}(x)) by the three-term recurrence, n >= 1.
+def _legendre_pair(segments: dict, x: np.ndarray, table=None) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(x), P_{n-1}(x)) on x[s] for each ``n: s`` of ``segments``, n >= 1, from one
+    three-term recurrence to m = max(segments): elementwise, so bit for bit as alone.
 
-    Each step is ((2k + 1) x P_k - k P_{k-1}) / (k + 1) in four numpy calls;
-    the (2k + 1) x factors come ``_FACTOR_BLOCK`` degrees at a time from one
-    outer product, which rounds as (2k + 1) * x does. The steps run in three
-    rotating buffers, or, given an ``(n + 1) x x.size`` array ``table``, in
-    its rows, so that row k receives P_k(x). Every operation is
-    sign-symmetric: P_k(-x) = (-1)^k P_k(x) bit for bit.
+    Each step is ((2k + 1) x P_k - k P_{k-1}) / (k + 1) in four numpy calls,
+    with k and k + 1 as 0-d arrays (faster ufunc operands than ints, rounded
+    alike) and the (2k + 1) x factors from one outer product per
+    ``_FACTOR_BLOCK`` degrees. The steps run in three rotating buffers, or in
+    the rows of an ``(m + 1) x x.size`` ``table``, whose row k gets P_k(x).
+    Every operation is sign-symmetric: P_k(-x) = (-1)^k P_k(x) bit for bit.
     """
+    m = max(segments)
+    pair = np.array([x, np.ones_like(x)])  # (P_1, P_0), the pair of degree 1
     rows = iter(table) if table is not None else itertools.cycle(np.empty((3, x.size)))
     p_prev, p = next(rows), next(rows)
     p_prev[...], p[...] = 1.0, x
     scaled = np.empty_like(p)
-    for k0 in range(1, n, _FACTOR_BLOCK):
-        k1 = min(k0 + _FACTOR_BLOCK, n)
+    for k0 in range(1, m, _FACTOR_BLOCK):
+        k1 = min(k0 + _FACTOR_BLOCK, m)
         factors = np.multiply.outer(np.arange(2 * k0 + 1, 2 * k1, 2, dtype=float), x)
         for k, fac, nxt in zip(range(k0, k1), factors, rows):
             np.multiply(fac, p, out=nxt)
-            np.multiply(p_prev, k, out=scaled)
+            np.multiply(p_prev, _K[k], out=scaled)
             nxt -= scaled
-            nxt /= k + 1
+            nxt /= _K[k + 1]
             p_prev, p = p, nxt
-    return p, p_prev
+            s = segments.get(k + 1)
+            if s is not None:
+                pair[0, s], pair[1, s] = p[s], p_prev[s]
+    return pair[0], pair[1]
 
 
-def lgl_nodes_weights(n: int, table=None) -> tuple[np.ndarray, np.ndarray]:
-    """Legendre-Gauss-Lobatto nodes and quadrature weights for degree ``n``.
-
-    The interior nodes are the roots of P_n' = c P^(1,1)_{n-1}, found by
-    Newton iteration seeded with the Gatteschi-Pittaluga asymptotic for
-    Jacobi zeros, x_k = cos(phi_k - 3 / (8 rho^2 tan phi_k)) with
-    phi_k = (k + 1/4) pi / rho, rho = n + 1/2 and k = n-1..1 (ascending x).
-    The seed is within 1e-4 of the roots at n = 3 and 3e-9 at n = 512.
-    Symmetrized once, the iterate is exactly antisymmetric, and the
-    recurrence and the step are sign-symmetric, so Newton runs on the nodes
-    x >= 0 only (the middle node stays exactly 0) and the rest are their
-    mirror images. Each pass evaluates the recurrence at the iterate; once
-    max|step| <= ``_NEWTON_TOL`` the iteration stops without taking that
-    step, three passes for every n >= 3. The weights
-    2 / (n (n + 1) P_n(x)^2) take P_n from that last pass. The rule is exact
-    for polynomials of degree <= 2n - 1.
-
-    Parameters
-    ----------
-    n : polynomial degree, at least 1
-    table : optional ``(n + 1) x (n + 1)`` array that receives
-        P_k(nodes_j) in row k, bit for bit the table :func:`vandermonde`
-        evaluates. The pass that quadratic convergence predicts to be the
-        last one (``n`` times the previous max|step| at most
-        ``_TABLE_PREDICT``) writes it; if the stopping pass did not, one
-        more recurrence at the final nodes does.
-
-    Returns
-    -------
-    (nodes, weights) : two arrays of length n + 1
-    """
+def _check_degree(n: int) -> None:
     if n < 1:
         raise ValueError("degree must be >= 1 (a single node has no boundary matrix)")
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds the configured maximum {MAX_DEGREE}")
 
-    nodes = np.empty(n + 1)
-    nodes[n] = 1.0
-    weights = np.full(n + 1, 2.0 / (n * (n + 1)))  # P_n(+-1)^2 = 1
-    if table is not None:
-        table[:, n] = 1.0
-    # nodes h..n-1 are the interior ones with x >= 0; nodes[h] = 0 for even n
-    h = (n + 1) // 2
-    if n >= 2:
-        rho = n + 0.5
+
+def _lgl_newton(ns: Sequence[int], half=None) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(x, P_n(x), segments): the n // 2 interior LGL nodes x >= 0 (roots of P_n')
+    of each distinct degree n >= 2 of ``ns`` in x[segments[n]], by one Newton solve.
+
+    The seed is the Gatteschi-Pittaluga asymptotic x_k = cos(phi_k - 3 /
+    (8 rho^2 tan phi_k)), phi_k = (k + 1/4) pi / rho, rho = n + 1/2, within
+    1e-4 of the roots at n = 3 and 3e-9 at n = 512, symmetrized so that
+    Newton, being sign-symmetric, need only run on x >= 0. Each pass runs one
+    recurrence over all the nodes, the step at each node's own n; a degree
+    stops without its step once its max|step| <= ``_NEWTON_TOL`` (three
+    passes for n >= 3), and P_n is from that pass. An ``(max(ns) + 1) x
+    x.size`` array ``half`` gets P_k(x) in row k from the pass predicted to be
+    the last (every n max|step| <= ``_TABLE_PREDICT``), or one more recurrence.
+    """
+    if not ns:
+        return np.empty(0), np.empty(0), {}
+    seeds = []
+    for n in ns:
+        rho, h = n + 0.5, (n + 1) // 2
         phi = (np.arange(n - 1, 0, -1) + 0.25) * (np.pi / rho)
         x = np.cos(phi - 3.0 / (8.0 * rho * rho * np.tan(phi)))
         # symmetrize and keep x >= 0: the pairs become exact negatives, the
         # middle node exactly 0, and the sign-symmetric passes keep them so
-        x = 0.5 * (x[h - 1:] - x[n - h - 1::-1])
-        half = None if table is None else table[:, h:n]
-        last_step = np.inf
-        for _ in range(_NEWTON_MAXIT):
-            written = half is not None and n * last_step <= _TABLE_PREDICT
-            p, p_prev = _legendre_pair(n, x, half if written else None)
-            # dP_n and d2P_n from the standard identities; x is interior so
-            # the 1 - x^2 factors are safe.
-            omx2 = 1.0 - x * x
-            dp = n * (p_prev - x * p) / omx2
-            d2p = (2.0 * x * dp - n * (n + 1) * p) / omx2
-            step = dp / d2p
-            last_step = np.max(np.abs(step))
-            if last_step <= _NEWTON_TOL:
-                break
-            x -= step
-        else:
-            raise RuntimeError(f"LGL Newton iteration failed to converge for n={n}")
-        if half is not None and not written:
-            _legendre_pair(n, x, half)
-        nodes[h:n] = x
-        weights[h:n] = 2.0 / (n * (n + 1) * p * p)
+        seeds.append(0.5 * (x[h - 1:] - x[n - h - 1::-1]))
+    sizes = [n // 2 for n in ns]
+    cuts = list(itertools.accumulate(sizes, initial=0))
+    segments = {n: slice(lo, hi) for n, lo, hi in zip(ns, cuts, cuts[1:])}
+    x = np.concatenate(seeds)
+    # dP_n and d2P_n from the standard identities, at each node's own n (and
+    # the exact n (n + 1)); x is interior so the 1 - x^2 factors are safe
+    nodal = np.array(ns, dtype=float).repeat(sizes)
+    nodal_n1 = nodal * (nodal + 1.0)
+    last = [math.inf] * len(ns)
+    for _ in range(_NEWTON_MAXIT):
+        written = half is not None and all(n * s <= _TABLE_PREDICT for n, s in zip(ns, last))
+        p, p_prev = _legendre_pair(segments, x, half if written else None)
+        omx2 = 1.0 - x * x
+        dp = nodal * (p_prev - x * p) / omx2
+        d2p = (2.0 * x * dp - nodal_n1 * p) / omx2
+        step = dp / d2p
+        last = np.maximum.reduceat(np.abs(step), cuts[:-1]).tolist()
+        moving = [not s <= _NEWTON_TOL for s in last]
+        if not any(moving):
+            break
+        if not all(moving):
+            step *= np.repeat(moving, sizes)  # x - 0 = x: stopped nodes keep their bits
+        x -= step
+    else:
+        raise RuntimeError(f"LGL Newton iteration failed to converge for n in {ns}")
+    if half is not None and not written:
+        _legendre_pair(segments, x, half)
+    return x, p, segments
+
+
+def _lgl_rule(n: int, x: np.ndarray, p: np.ndarray, table=None) -> tuple[np.ndarray, np.ndarray]:
+    """Degree-n nodes, weights and table mirrored from :func:`_lgl_newton`'s x >= 0 and P_n(x)."""
+    nodes = np.empty(n + 1)
+    nodes[n] = 1.0
+    weights = np.full(n + 1, 2.0 / (n * (n + 1)))  # P_n(+-1)^2 = 1
+    h = (n + 1) // 2
+    nodes[h:n] = x
+    weights[h:n] = 2.0 / (n * (n + 1) * p * p)
     # mirror the x >= 0 half: P_k(-x) = (-1)^k P_k(x)
     nodes[:h] = -nodes[n:n - h:-1]
     weights[:h] = weights[n:n - h:-1]
     if table is not None:
+        table[:, n] = 1.0
         table[:, :h] = table[:, n:n - h:-1]
         table[1::2, :h] *= -1.0
     return nodes, weights
+
+
+def lgl_nodes_weights(n: int, table=None) -> tuple[np.ndarray, np.ndarray]:
+    """LGL nodes and weights (exact to degree 2n - 1) for degree ``n`` >= 1, by the
+    one-degree :func:`_lgl_newton`; an ``(n + 1) x (n + 1)`` ``table`` gets
+    P_k(nodes_j) in row k, bit for bit the table :func:`vandermonde` evaluates."""
+    _check_degree(n)
+    half = None if table is None else table[:, (n + 1) // 2:n]
+    x, p, _ = _lgl_newton([n] if n >= 2 else [], half)
+    return _lgl_rule(n, x, p, table)
 
 
 def _barycentric_weights(weights: np.ndarray) -> np.ndarray:
@@ -203,7 +222,7 @@ def vandermonde(nodes: np.ndarray, weights: np.ndarray,
     n = len(nodes) - 1
     if table is None:
         table = np.empty((n + 1, n + 1))
-        _legendre_pair(n, np.asarray(nodes, dtype=float), table)
+        _legendre_pair({n: slice(None)}, np.asarray(nodes, dtype=float), table)
     vmat = np.multiply(table.T, np.sqrt(np.arange(n + 1) + 0.5), order="C")
     vinv = vmat.T * weights
     vinv /= gram_diagonal(n)[:, None]
@@ -228,16 +247,8 @@ def sbp_residual(ops: OperatorSet) -> float:
     return float(np.max(np.abs(resid, out=resid)))
 
 
-def build_operators(n: int, check: bool = True) -> OperatorSet:
-    """Construct the operator set for degree ``n``.
-
-    The last Newton pass of :func:`lgl_nodes_weights` also fills the
-    Legendre table behind V, so one build runs three recurrences for every
-    n >= 4. With ``check`` enabled the summation-by-parts residual is held
-    to :func:`sbp_tolerance` before returning.
-    """
-    table = np.empty((n + 1, n + 1))
-    nodes, weights = lgl_nodes_weights(n, table)
+def _assemble(n: int, nodes, weights, table, check: bool) -> OperatorSet:
+    """The operator set of an LGL rule and its filled Legendre ``table``."""
     dmat = derivative_matrix(nodes, weights)
     vmat, vinv = vandermonde(nodes, weights, table)
     ops = OperatorSet(N=n, nodes=nodes, weights=weights, D=dmat, V=vmat, Vinv=vinv)
@@ -246,3 +257,28 @@ def build_operators(n: int, check: bool = True) -> OperatorSet:
         if resid > sbp_tolerance(n):
             raise ArithmeticError(f"summation-by-parts residual {resid:.3e} at degree {n}")
     return ops
+
+
+def build_operators(n: int, check: bool = True) -> OperatorSet:
+    """The operator set for degree ``n``; three recurrences for n >= 4, the last
+    Newton pass of :func:`lgl_nodes_weights` filling V's table. With ``check``
+    the SBP residual is held to :func:`sbp_tolerance`."""
+    table = np.empty((n + 1, n + 1))
+    nodes, weights = lgl_nodes_weights(n, table)
+    return _assemble(n, nodes, weights, table, check)
+
+
+def build_operator_sets(ns: Sequence[int]) -> Iterator[OperatorSet]:
+    """Yield ``build_operators(n)`` for each n of ``ns`` in order, bit for bit, from
+    one :func:`_lgl_newton` solve at the first set (three recurrences to max(ns) for
+    degrees >= 4), then D, V, Vinv and the SBP check one set at a time."""
+    for n in ns:
+        _check_degree(n)
+    degrees = sorted({n for n in ns if n >= 2})
+    half = np.empty((max(ns, default=0) + 1, sum(n // 2 for n in degrees)))
+    x, p, segments = _lgl_newton(degrees, half)
+    for n in ns:
+        s = segments.get(n, slice(0, 0))
+        table = np.empty((n + 1, n + 1))
+        table[:, (n + 1) // 2:n] = half[:n + 1, s]
+        yield _assemble(n, *_lgl_rule(n, x[s], p[s], table), table, check=True)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dgfilter import experiments
+from dgfilter import experiments, operators
 from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import (
     BURGERS_VARIANTS,
@@ -113,6 +113,26 @@ class TestConvergenceDriver:
         with pytest.raises(ValueError, match="at least one degree"):
             run_convergence([], dt=1e-3)
 
+    def test_the_sweep_runs_three_recurrences_in_all(self, monkeypatch):
+        # one Newton solve serves all 29 default degrees; its last pass fills
+        # every table behind V
+        calls = []
+        pair = operators._legendre_pair
+
+        def counted(segments, x, table=None):
+            calls.append(sorted(segments))
+            return pair(segments, x, table)
+
+        monkeypatch.setattr(operators, "_legendre_pair", counted)
+        run_convergence(t_final=0.01)
+        assert calls == [list(range(7, 64, 2))] * 3
+
+    def test_degrees_run_in_the_given_order_as_they_run_alone(self):
+        res = run_convergence([9, 7, 7, 15], dt=1e-2, t_final=0.1)
+        alone = [run_convergence([n], dt=1e-2, t_final=0.1).errors[0] for n in (9, 7, 7, 15)]
+        assert res.ns == [9, 7, 7, 15]
+        assert res.errors == alone
+
     def test_rows_carry_parameters(self):
         res = run_convergence([8], dt=1e-2)
         n, dt, t_or_n, value, extra = res.record.rows[0]
@@ -135,6 +155,7 @@ class TestVarspeedDriver:
             raise AssertionError("operators were built for a rejected dt")
 
         monkeypatch.setattr(experiments, "build_operators", never_called)
+        monkeypatch.setattr(experiments, "build_operator_sets", never_called)
         with pytest.raises(ValueError, match="dt"):
             run_varspeed(dt=dt)
         with pytest.raises(ValueError, match="dt"):
@@ -217,7 +238,8 @@ class TestLinearPropagator:
             return rk3_affine_step(*args)
 
         monkeypatch.setattr(experiments, "rk3_affine_step", counted)
-        x, u, err = _run_linear(problem, n, u0_fn, exact_fn, t_final, dt, spec)
+        x, u, err = _run_linear(problem, build_operators(n), u0_fn, exact_fn, t_final, dt,
+                                fixed_steps(t_final, dt), spec)
         assert len(step_maps) == 1  # one step map per run
 
         # the reference filters at the end of each step, found one t += h at a time
@@ -253,7 +275,8 @@ class TestLinearPropagator:
         t_final, dt = 0.2551, 2e-3
         spec = FilterSpec() if filtered else None
         problem, n, u0_fn, exact_fn = linear_case(kind, [])
-        x, u, _ = _run_linear(problem, n, u0_fn, exact_fn, t_final, dt, spec)
+        x, u, _ = _run_linear(problem, build_operators(n), u0_fn, exact_fn, t_final, dt,
+                              fixed_steps(t_final, dt), spec)
 
         # the same L, F and inflow, one step at a time in long double
         ops = build_operators(n)

@@ -1,13 +1,19 @@
 """Tests for the finite-volume reference solver."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dgfilter import kernels
+from dgfilter import fv, kernels
 from dgfilter.fv import FvConfig, cell_centers, solve_fv_burgers
 from dgfilter.timestepping import MAX_STEPS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestFvConfig:
@@ -43,6 +49,42 @@ def test_work_beyond_the_cell_update_cap_is_rejected_before_stepping(monkeypatch
     monkeypatch.setattr(kernels, "fv_burgers", never_called)
     with pytest.raises(ValueError, match="work cap"):
         solve_fv_burgers(FvConfig(cells=10**6), lambda x: 0.2 * (1.0 + np.cos(np.pi * x)))
+
+
+def test_the_caps_read_every_block_of_the_initial_data(monkeypatch):
+    # two full blocks and a partial one; only the last cell moves, fast
+    # enough that the first step is beyond the step cap
+    def never_called(*args, **kwargs):
+        raise AssertionError("the FV kernel ran on rejected input")
+
+    monkeypatch.setattr(kernels, "fv_burgers", never_called)
+    cfg = FvConfig(cells=2 * fv._CAP_BLOCK + 5)
+    last = cell_centers(cfg)[-1]
+    with pytest.raises(ValueError, match="step cap"):
+        solve_fv_burgers(cfg, lambda x: np.where(x == last, 1e9, 0.0))
+
+
+def test_cell_center_blocks_are_slices_of_the_grid():
+    cfg = FvConfig(cells=2 * fv._CAP_BLOCK + 5)
+    x = cell_centers(cfg)
+    bounds = [0, fv._CAP_BLOCK, 2 * fv._CAP_BLOCK, cfg.cells]
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert cell_centers(cfg, lo, hi).tobytes() == x[lo:hi].tobytes()
+
+
+def test_a_rejected_grid_is_never_allocated(tmp_path):
+    # 10^7 cells are 5e13 cell updates; the grid and u0 alone would be 160 MB
+    script = ("import resource, sys\n"
+              "from dgfilter.cli import main\n"
+              "code = main(['fv-reference', '--cells', '10000000', '--out', sys.argv[1]])\n"
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "f.csv")],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=120, check=True)
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 2 and "work cap" in proc.stderr
+    assert peak_kb < 100 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_cell_centers_cover_domain():

@@ -4,10 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgfilter import operators
 from dgfilter.operators import (
     _barycentric_weights,
+    build_operator_sets,
     build_operators,
     derivative_matrix,
     lgl_nodes_weights,
@@ -83,9 +86,9 @@ class TestNodesWeights:
         calls = []
         pair = operators._legendre_pair
 
-        def counted(deg, x, table=None):
-            calls.append(deg)
-            return pair(deg, x, table)
+        def counted(segments, x, table=None):
+            calls.append(max(segments))
+            return pair(segments, x, table)
 
         monkeypatch.setattr(operators, "_legendre_pair", counted)
         build_operators(n)
@@ -97,10 +100,23 @@ class TestNodesWeights:
         x = np.concatenate([lgl_nodes_weights(n)[0],
                             np.random.default_rng(n).uniform(-1.0, 1.0, 7)])
         table = np.empty((n + 1, x.size))
-        operators._legendre_pair(n, x, table)
+        operators._legendre_pair({n: slice(None)}, x, table)
         assert table[0].tobytes() == np.ones_like(x).tobytes()
         for k in range(1, n + 1):
-            assert table[k].tobytes() == operators._legendre_pair(k, x)[0].tobytes()
+            assert table[k].tobytes() == operators._legendre_pair({k: slice(None)}, x)[0].tobytes()
+
+    @pytest.mark.parametrize("ns", [[1, 2], [3, 64, 65], [2, 7, 512]])
+    def test_one_recurrence_gives_each_segment_its_own_pair(self, ns):
+        """Segments of one recurrence get the pair their degree gets alone, bit for bit."""
+        x = np.random.default_rng(len(ns)).uniform(-1.0, 1.0, 5 * len(ns))
+        segments = {n: slice(5 * i, 5 * i + 5) for i, n in enumerate(ns)}
+        table = np.empty((max(ns) + 1, x.size))
+        p, p_prev = operators._legendre_pair(segments, x, table)
+        for n, s in segments.items():
+            alone = operators._legendre_pair({n: slice(None)}, x[s])
+            assert p[s].tobytes() == alone[0].tobytes()
+            assert p_prev[s].tobytes() == alone[1].tobytes()
+            assert table[n, s].tobytes() == alone[0].tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65, 397, 512])
     def test_build_folds_the_vandermonde_table_into_newton(self, n):
@@ -129,6 +145,32 @@ class TestNodesWeights:
             norm_p = np.sqrt((p * p).integ()(1.0) - (p * p).integ()(-1.0))
             norm_q = np.sqrt((q * q).integ()(1.0) - (q * q).integ()(-1.0))
             assert abs(quad - exact) <= 1e-12 * max(1.0, norm_p * norm_q)
+
+
+def _set_bytes(ops):
+    return [a.tobytes() for a in (ops.nodes, ops.weights, ops.D, ops.V, ops.Vinv)]
+
+
+class TestOperatorSets:
+    """One Newton solve for a list of degrees gives each the bits it gets alone."""
+
+    @pytest.mark.parametrize("ns", [[1, 2, 3], [9, 7, 7, 63], [512, 7, 256]])
+    def test_match_per_degree_builds(self, ns):
+        sets = list(build_operator_sets(ns))
+        assert [ops.N for ops in sets] == ns
+        for ops, n in zip(sets, ns):
+            assert _set_bytes(ops) == _set_bytes(build_operators(n))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(st.lists(st.integers(1, 64), min_size=1, max_size=8))
+    def test_match_per_degree_builds_on_drawn_lists(self, ns):
+        for ops, n in zip(build_operator_sets(ns), ns, strict=True):
+            assert _set_bytes(ops) == _set_bytes(build_operators(n))
+
+    @pytest.mark.parametrize("ns", [[7, 0], [7, 513]])
+    def test_degrees_are_checked_before_any_set(self, ns):
+        with pytest.raises(ValueError, match="degree"):
+            next(build_operator_sets(ns))
 
 
 class TestLegendreNormalized:
@@ -284,6 +326,8 @@ class TestSbp:
         assert 5e-11 < sbp_residual(build_operators(16, check=False)) < 1e-9
         with pytest.raises(ArithmeticError, match="summation-by-parts"):
             build_operators(16)
+        with pytest.raises(ArithmeticError, match="summation-by-parts"):
+            next(build_operator_sets([7, 16]))
 
     def test_perturbation_scales_with_weight(self):
         ops = build_operators(16)
