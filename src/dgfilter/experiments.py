@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .equations import ProblemSpec, make_rhs
 from .filters import FilterSpec, build_filter
 from .fv import FvConfig, solve_fv_burgers
 from .operators import OperatorSet, build_operator_sets, build_operators
-from .timestepping import (MAX_STEPS, RK3_C, FilterSchedule, Trajectory, fixed_steps, integrate,
-                           rk3_affine_step, rk3_step)
+from .timestepping import (MAX_STEPS, RK3_C, FilterSchedule, Trajectory, check_step_budget,
+                           fixed_steps, integrate, rk3_affine_step, rk3_step)
 
 CSV_HEADER = "experiment,variant,N,dt,t_or_N,value,extra"
 
@@ -29,6 +29,12 @@ BURGERS_VARIANTS = ("cons_unfiltered", "cons_filtered", "skew_unfiltered", "skew
 
 # energy blow-up factor treated as a crash
 BLOWUP_FACTOR = 1e6
+
+# The one filter of every study, the paper's exponential cutoff with its top
+# mode clipped, and its parameters as the CSV variant tags carry them (comma-free)
+STUDY_FILTER = FilterSpec()
+FILTER_PARAMS = (f"a{STUDY_FILTER.alpha:g}:s{STUDY_FILTER.s}:nc{STUDY_FILTER.nc}:"
+                 + ("clip" if STUDY_FILTER.clip_highest else "noclip"))
 
 
 # ---------------------------------------------------------------------------
@@ -77,12 +83,9 @@ def min_node_spacing(ops: OperatorSet, problem: ProblemSpec) -> float:
     return 0.5 * problem.dx * float(np.min(np.diff(ops.nodes)))
 
 
-def filter_tag(spec: Optional[FilterSpec]) -> str:
-    """Compact colon-separated parameter tag (CSV cells must stay comma-free)."""
-    if spec is None:
-        return "unfiltered"
-    clip = "clip" if spec.clip_highest else "noclip"
-    return f"filtered:a{spec.alpha:g}:s{spec.s}:nc{spec.nc}:{clip}"
+def filter_tag(filtered: bool) -> str:
+    """Variant tag of a linear study run with or without the study filter."""
+    return f"filtered:{FILTER_PARAMS}" if filtered else "unfiltered"
 
 
 # ---------------------------------------------------------------------------
@@ -143,26 +146,27 @@ def _linear_rhs_matrix(problem: ProblemSpec, ops: OperatorSet):
 
 
 def _run_linear(problem: ProblemSpec, ops: OperatorSet, u0_fn, exact_fn, t_final: float,
-                dt: float, steps: tuple[np.ndarray, float], filter_spec: Optional[FilterSpec]):
+                dt: float, steps: tuple[np.ndarray, float], filtered: bool):
     """One fixed-step linear advection run on the operators ``ops`` to ``t_final``.
 
     Takes the steps ``steps = fixed_steps(t_final, dt)``, the ones
     :func:`integrate` would with ``dt_fn = lambda u: dt``.
     One full step is the affine map u <- A u + B g with A = F S and B = F Q
-    (S and Q from :func:`rk3_affine_step`; F is left out when ``filter_spec``
-    is None) and g the inflow at the step's three stage times. It is built
-    once, as E = A - I and B, and applied as u + (E u + B g). The map of 2k
-    steps comes from the map of k by doubling: E <- E + E + E E and
-    B <- [B + E B, B], where g stacks the steps' inflow in order. While
-    doubling, the map of k steps is applied for each set bit k of the full
-    step count below ``STEP_CHUNK``, in time order; the ``STEP_CHUNK`` map
-    then takes every remaining chunk. A truncated last step is one
+    (S and Q from :func:`rk3_affine_step`; F is ``STUDY_FILTER``'s, left out
+    unless ``filtered``) and g the inflow at the step's three stage times.
+    It is built once, as E = A - I and B, and applied as u + (E u + B g).
+    The map of 2k steps comes from the map of k by doubling:
+    E <- E + E + E E and B <- [B + E B, B], where g stacks the steps' inflow
+    in order.
+    While doubling, the map of k steps is applied for each set bit k of the
+    full step count below ``STEP_CHUNK``, in time order; the ``STEP_CHUNK``
+    map then takes every remaining chunk. A truncated last step is one
     :func:`rk3_step` of L u + r g followed by F. The inflow is asked for at
     the same stage times, in the same order, as the step-by-step loop.
     Returns (x, final state, max-norm error against ``exact_fn(x, t_final)``).
     """
     starts, h_last = steps
-    fmat = None if filter_spec is None else build_filter(ops, filter_spec).F
+    fmat = build_filter(ops, STUDY_FILTER).F if filtered else None
     x = problem.physical_nodes(ops.nodes)
     lmat, r = _linear_rhs_matrix(problem, ops)
     n1 = ops.N + 1
@@ -203,9 +207,8 @@ class ConvergenceResult:
 
 
 def run_convergence(n_list: Sequence[int] = range(7, 64, 2), dt: float = 4e-4,
-                    filter_spec: Optional[FilterSpec] = FilterSpec(),
-                    t_final: float = 0.5) -> ConvergenceResult:
-    """Advection of the Gaussian pulse on [0, 1] with per-step filtering.
+                    filtered: bool = True, t_final: float = 0.5) -> ConvergenceResult:
+    """Advection of the Gaussian pulse on [0, 1], with or without per-step filtering.
 
     Records the final-time max-norm error for each polynomial degree.
     Boundary data is the exact pulse trace at the inflow. The operators of
@@ -215,7 +218,7 @@ def run_convergence(n_list: Sequence[int] = range(7, 64, 2), dt: float = 4e-4,
         raise ValueError("convergence sweep needs at least one degree")
     if not all(7 <= n <= 64 for n in n_list):
         raise ValueError("convergence sweep degrees must lie in [7, 64]")
-    record = ExperimentRecord("convergence", filter_tag(filter_spec))
+    record = ExperimentRecord("convergence", filter_tag(filtered))
     problem = ProblemSpec(
         pde="advection_constant", domain=(0.0, 1.0), wave_speed=1.0,
         inflow=lambda t: gaussian_pulse(0.0, t),
@@ -224,7 +227,7 @@ def run_convergence(n_list: Sequence[int] = range(7, 64, 2), dt: float = 4e-4,
     ns, errors = [], []
     for ops in build_operator_sets(n_list):
         _, _, err = _run_linear(problem, ops, lambda xx: gaussian_pulse(xx, 0.0), gaussian_pulse,
-                                t_final, dt, steps, filter_spec)
+                                t_final, dt, steps, filtered)
         ns.append(ops.N)
         errors.append(err)
         record.add(ops.N, dt, ops.N, err, "linf_error")
@@ -241,7 +244,6 @@ class VarspeedResult:
 
 
 def run_varspeed(n: int = 256, dt: float = 1.0 / 2000.0, filtered: bool = True,
-                 filter_spec: FilterSpec = FilterSpec(),
                  t_final: float = 4.0) -> VarspeedResult:
     """Variable-speed advection on [-1, 1] with steep-gradient formation.
 
@@ -253,13 +255,12 @@ def run_varspeed(n: int = 256, dt: float = 1.0 / 2000.0, filtered: bool = True,
         pde="advection_variable", domain=(-1.0, 1.0), wave_speed_fn=varspeed_wave_speed,
         inflow=lambda t: varspeed_exact(-1.0, t),
     )
-    spec = filter_spec if filtered else None
     steps = fixed_steps(t_final, dt)  # checks dt before any operator work
     x, u, err = _run_linear(problem, build_operators(n), lambda xx: np.sin(np.pi * xx),
-                            varspeed_exact, t_final, dt, steps, spec)
+                            varspeed_exact, t_final, dt, steps, filtered)
     tv = total_variation(u)
 
-    record = ExperimentRecord("varspeed", filter_tag(spec))
+    record = ExperimentRecord("varspeed", filter_tag(filtered))
     for xi, ui in zip(x, u):
         record.add(n, dt, xi, ui, "solution")
     record.add(n, dt, t_final, err, "linf_error")
@@ -275,11 +276,10 @@ class BurgersResult:
 
 
 def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
-                cfl: float = 0.4, t_final: float = 2.25,
-                filter_spec: FilterSpec = FilterSpec()) -> BurgersResult:
+                cfl: float = 0.4, t_final: float = 2.25) -> BurgersResult:
     """One Burgers variant on [0, 2], periodic, CFL-adaptive stepping.
 
-    Filtered variants apply the filter at ``filter_count`` equally spaced
+    Filtered variants apply the study filter at ``filter_count`` equally spaced
     times (snapped to step boundaries). ``t_final`` and ``1 <= filter_count
     <= MAX_STEPS`` are checked before any operator work, and a first step
     needing more than ``MAX_STEPS`` steps is rejected before it is taken. The
@@ -319,13 +319,12 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
         umax = float(np.abs(u).max())
         return cfl * h_min / max(umax, 1e-12)
 
-    if t_final > MAX_STEPS * dt_fn(u0):
-        raise ValueError(f"t_final / dt of the first step exceeds the step cap {MAX_STEPS}")
+    check_step_budget(t_final, dt_fn(u0))
 
     schedule = None
     if filtered:
         times = t_final * np.arange(1, filter_count + 1) / filter_count
-        schedule = FilterSchedule(build_filter(ops, filter_spec).F, times=times)
+        schedule = FilterSchedule(build_filter(ops, STUDY_FILTER).F, times=times)
 
     def crash_check(u):
         # a non-finite entry, or a finite state whose u * u overflows, makes
@@ -344,8 +343,7 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
         dt_fn=dt_fn,
     )
 
-    tag = variant if not filtered else f"{variant}:{filter_tag(filter_spec).split(':', 1)[1]}"
-    record = ExperimentRecord("burgers", tag)
+    record = ExperimentRecord("burgers", f"{variant}:{FILTER_PARAMS}" if filtered else variant)
     for t, e in zip(traj.times, traj.series["energy"]):
         record.add(n, cfl, t, e, "energy")
     if traj.crashed:

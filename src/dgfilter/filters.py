@@ -43,28 +43,28 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class FilterMatrices:
-    """The nodal filter for one degree: what a run applies.
+    """The nodal filter F = V diag(sigma) Vinv for one degree: what a run applies.
 
-    F = V diag(sigma) Vinv. The adjoint filter and the Gram matrix are
-    verification quantities, formed only by :func:`verify_filter`.
-    Immutable after construction.
+    The adjoint filter and the Gram matrix are verification quantities,
+    formed only by :func:`verify_filter`. Immutable after construction.
     """
 
-    spec: FilterSpec
     F: np.ndarray
 
 
 def cutoff_profile(n: int, spec: FilterSpec) -> np.ndarray:
     """Modal damping factors sigma_0..sigma_n of the exponential profile.
 
-    The first ``nc`` modes keep sigma = 1 (every mode when ``nc > n``); mode
-    i >= nc gets exp(-alpha eta^s) with eta = (i + 1 - nc) / (n + 1 - nc).
-    Clipping then sets sigma_n = 0. ``float_power`` rounds the power like
-    the scalar ``eta ** s``, where the array ``**`` does not.
+    The first ``nc`` modes keep sigma = 1 (every mode when ``nc > n``, so
+    ``nc`` is clamped to n + 1); mode i >= nc gets exp(-alpha eta^s) with
+    eta = (i + 1 - nc) / (n + 1 - nc). Clipping then sets sigma_n = 0.
+    ``float_power`` rounds the power like the scalar ``eta ** s``, where the
+    array ``**`` does not.
     """
+    nc = min(spec.nc, n + 1)
     sig = np.ones(n + 1)
-    eta = np.arange(1, n + 2 - spec.nc) / (n + 1 - spec.nc)
-    sig[spec.nc:] = np.exp(-spec.alpha * np.float_power(eta, spec.s))
+    eta = np.arange(1, n + 2 - nc) / (n + 1 - nc)
+    sig[nc:] = np.exp(-spec.alpha * np.float_power(eta, spec.s))
     if spec.clip_highest:
         sig[n] = 0.0
     return sig
@@ -121,7 +121,7 @@ def build_filter(ops: OperatorSet, spec: FilterSpec) -> FilterMatrices:
     Its eigenpairs are (sigma_j, nodal values of mode j).
     """
     sig = cutoff_profile(ops.N, spec)
-    return FilterMatrices(spec=spec, F=(ops.V * sig) @ ops.Vinv)
+    return FilterMatrices(F=(ops.V * sig) @ ops.Vinv)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,13 @@ RK3_C = (0.0, 1.0 / 3.0, 3.0 / 4.0)
 MAX_STEPS = 10**7
 
 
+def check_step_budget(t_final: float, dt: float) -> None:
+    """Reject a step ``dt`` that would need more than ``MAX_STEPS`` steps to
+    reach ``t_final``; an infinite ``dt`` passes."""
+    if t_final > MAX_STEPS * dt:
+        raise ValueError(f"t_final / dt exceeds the step cap {MAX_STEPS}")
+
+
 @dataclass(frozen=True)
 class FilterSchedule:
     """Apply the nodal filter ``F`` at the first step boundary at or beyond
@@ -94,8 +101,7 @@ def fixed_steps(t_final: float, dt: float) -> tuple[np.ndarray, float]:
         raise ValueError("final time must be positive and finite")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
-    if t_final / dt > MAX_STEPS:
-        raise ValueError(f"t_final / dt exceeds the step cap {MAX_STEPS}")
+    check_step_budget(t_final, dt)
     eps = 1e-12 * max(1.0, abs(t_final))
     starts = np.full(int(t_final / dt) + 3, dt)
     starts[0] = 0.0

@@ -23,7 +23,7 @@ from dgfilter.filters import (
     contractivity_spectrum,
 )
 from dgfilter.operators import build_operators, sbp_residual
-from helpers import discrete_norm, shock_position, trapezoid_weights
+from helpers import burgers_entropy_solution, discrete_norm, shock_position, trapezoid_weights
 
 
 def check(label: str, ok: bool, detail: str = ""):
@@ -220,4 +220,32 @@ def test_criterion_8_mismatched_mass_negative_control():
         "criterion 8: contractivity fails with a mismatched mass matrix",
         found_positive,
         "; ".join(details[:3]) + " ...",
+    )
+
+
+def test_criterion_9_entropy_solution_cross_check(burgers_runs, fv_reference):
+    # the exact solution and the DG runs on the FV cell centres, the DG
+    # series sampled as in criterion 7; no run beyond the shared fixtures
+    x = fv_reference.x
+    dx = x[1] - x[0]
+    exact = burgers_entropy_solution(x, 2.25)
+    xs = shock_position(x, exact)
+    smooth = np.abs(x - xs) > 0.1
+
+    def offset_and_linf(variant):
+        ops, u = burgers_runs[variant].ops, burgers_runs[variant].trajectory.u_final
+        coef = (ops.Vinv @ u) * np.sqrt(np.arange(ops.N + 1) + 0.5)
+        u_dg = legendre.legval(x - 1.0, coef)
+        return abs(shock_position(x, u_dg) - xs), float(np.max(np.abs(u_dg - exact)[smooth]))
+
+    fv_l1 = float(np.sum(np.abs(fv_reference.u_final - exact)) * dx)
+    measured = {v: offset_and_linf(v) for v in ("cons_filtered", "skew_filtered",
+                                                "skew_unfiltered")}
+    within = {v: off <= 5.0 * dx and linf <= 0.05 for v, (off, linf) in measured.items()}
+    check(
+        "criterion 9: filtered DG and FV agree with the exact entropy solution",
+        abs(xs - 0.95) <= dx and fv_l1 <= 1e-4 and within["cons_filtered"]
+        and within["skew_filtered"] and not within["skew_unfiltered"],
+        f"exact shock {xs:.4f}, FV L1 {fv_l1:.1e}; shock offset and smooth-region Linf: "
+        + ", ".join(f"{v} {off:.1e} {linf:.3f}" for v, (off, linf) in measured.items()),
     )

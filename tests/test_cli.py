@@ -117,6 +117,15 @@ class TestExitCodes:
         # spectral gap, so the check still comes out clean
         assert main(["filter", "verify", "--n", "12", "--no-clip"]) == 0
 
+    @pytest.mark.parametrize("nc", ["10", "100000000000000000000"])
+    def test_filter_verify_accepts_any_unaffected_count_beyond_the_modes(self, nc, capsys):
+        # every nc >= N + 1 leaves every mode but the clipped one untouched
+        assert main(["filter", "verify", "--n", "8", "--nc", "9"]) == 0
+        at_n_plus_one = capsys.readouterr().out
+        assert main(["filter", "verify", "--n", "8", "--nc", nc]) == 0
+        assert capsys.readouterr().out == at_n_plus_one
+        assert at_n_plus_one.endswith("result                 : ok\n")
+
     def test_usage_error_is_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["burgers", "--variant", "nonsense", "--out", "x.csv"])

@@ -10,7 +10,9 @@ from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import (
     BURGERS_VARIANTS,
     CSV_HEADER,
+    FILTER_PARAMS,
     STEP_CHUNK,
+    STUDY_FILTER,
     _linear_rhs_matrix,
     _run_linear,
     burgers_initial,
@@ -95,9 +97,22 @@ class TestCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_no_commas_in_variant_tags(self):
-        assert "," not in filter_tag(FilterSpec())
-        assert filter_tag(None) == "unfiltered"
-        assert filter_tag(FilterSpec()) == "filtered:a36:s16:nc4:clip"
+        assert "," not in FILTER_PARAMS
+        assert filter_tag(False) == "unfiltered"
+        assert filter_tag(True) == "filtered:a36:s16:nc4:clip"
+        assert STUDY_FILTER == FilterSpec()  # the one filter behind every tag
+
+    @pytest.mark.parametrize("filtered, tag", [(True, "filtered:a36:s16:nc4:clip"),
+                                               (False, "unfiltered")])
+    def test_linear_studies_tag_the_filter(self, filtered, tag):
+        conv = run_convergence([7], dt=1e-2, filtered=filtered, t_final=0.05)
+        var = run_varspeed(n=8, dt=1e-2, filtered=filtered, t_final=0.05)
+        assert conv.record.variant == var.record.variant == tag
+
+    @pytest.mark.parametrize("variant", BURGERS_VARIANTS)
+    def test_burgers_tags_carry_the_filter_parameters_when_filtered(self, variant):
+        tag = run_burgers(variant, n=8, t_final=0.05).record.variant
+        assert tag == (f"{variant}:a36:s16:nc4:clip" if variant.endswith("_filtered") else variant)
 
 
 class TestConvergenceDriver:
@@ -228,7 +243,6 @@ class TestLinearPropagator:
         (1e-3, 2e-3),             # only a truncated step
     ])
     def test_matches_integrate(self, kind, filtered, t_final, dt, monkeypatch):
-        spec = FilterSpec() if filtered else None
         prop_calls, ref_calls, step_maps = [], [], []
         problem, n, u0_fn, exact_fn = linear_case(kind, prop_calls)
         rk3_affine_step = experiments.rk3_affine_step
@@ -239,7 +253,7 @@ class TestLinearPropagator:
 
         monkeypatch.setattr(experiments, "rk3_affine_step", counted)
         x, u, err = _run_linear(problem, build_operators(n), u0_fn, exact_fn, t_final, dt,
-                                fixed_steps(t_final, dt), spec)
+                                fixed_steps(t_final, dt), filtered)
         assert len(step_maps) == 1  # one step map per run
 
         # the reference filters at the end of each step, found one t += h at a time
@@ -250,7 +264,8 @@ class TestLinearPropagator:
             step_ends.append(t)
         problem, n, u0_fn, exact_fn = linear_case(kind, ref_calls)
         ops = build_operators(n)
-        schedule = None if spec is None else FilterSchedule(build_filter(ops, spec).F, step_ends)
+        fmat = build_filter(ops, FilterSpec()).F
+        schedule = FilterSchedule(fmat, step_ends) if filtered else None
         traj = integrate(u0_fn(x), make_rhs(problem, ops), t_final, schedule=schedule,
                          dt_fn=lambda u: dt)
 
@@ -273,15 +288,14 @@ class TestLinearPropagator:
     def test_roundoff_against_long_double(self, kind, filtered):
         # 127 full steps (one chunk and every smaller power) and a truncated one
         t_final, dt = 0.2551, 2e-3
-        spec = FilterSpec() if filtered else None
         problem, n, u0_fn, exact_fn = linear_case(kind, [])
         x, u, _ = _run_linear(problem, build_operators(n), u0_fn, exact_fn, t_final, dt,
-                              fixed_steps(t_final, dt), spec)
+                              fixed_steps(t_final, dt), filtered)
 
         # the same L, F and inflow, one step at a time in long double
         ops = build_operators(n)
         lmat, r = (a.astype(np.longdouble) for a in _linear_rhs_matrix(problem, ops))
-        fmat = None if spec is None else build_filter(ops, spec).F.astype(np.longdouble)
+        fmat = build_filter(ops, FilterSpec()).F.astype(np.longdouble) if filtered else None
         starts, h_last = fixed_steps(t_final, dt)
         ref = u0_fn(x).astype(np.longdouble)
         for i, t in enumerate(starts):

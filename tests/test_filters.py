@@ -54,6 +54,13 @@ class TestCutoffMatrix:
         sig = cutoff_profile(7, FilterSpec(nc=8, clip_highest=False))
         assert np.array_equal(sig, np.ones(8))
 
+    @pytest.mark.parametrize("clip", [True, False])
+    @pytest.mark.parametrize("nc", [10, 10**20])
+    def test_unaffected_count_beyond_the_modes_is_clamped(self, nc, clip):
+        # every nc >= n + 1 leaves every mode untouched, however large
+        assert np.array_equal(cutoff_profile(8, FilterSpec(nc=nc, clip_highest=clip)),
+                              cutoff_profile(8, FilterSpec(nc=9, clip_highest=clip)))
+
     def test_clipping_beats_unaffected_count(self):
         # clipping zeroes the last mode even when nc covers every mode
         assert np.array_equal(cutoff_profile(7, FilterSpec(nc=8)), [1, 1, 1, 1, 1, 1, 1, 0])
@@ -99,37 +106,42 @@ class TestFilterMatrix:
 
     def test_eigenstructure_per_mode(self):
         ops = build_operators(11)
-        fm = build_filter(ops, FilterSpec())
-        sig = cutoff_profile(11, fm.spec)
+        spec = FilterSpec()
+        fm = build_filter(ops, spec)
+        sig = cutoff_profile(11, spec)
         for j in range(12):
             mode = ops.V[:, j]
             assert np.allclose(fm.F @ mode, sig[j] * mode, atol=1e-10)
 
     def test_double_application_squares_cutoff(self):
         ops = build_operators(8)
-        fm = build_filter(ops, FilterSpec())
-        f2 = (ops.V * cutoff_profile(8, fm.spec) ** 2) @ ops.Vinv
+        spec = FilterSpec()
+        fm = build_filter(ops, spec)
+        f2 = (ops.V * cutoff_profile(8, spec) ** 2) @ ops.Vinv
         rng = np.random.default_rng(3)
         u = rng.uniform(-1, 1, 9)
         assert np.allclose(fm.F @ (fm.F @ u), f2 @ u, atol=1e-12)
 
     def test_modal_similarity(self):
         ops = build_operators(16)
-        fm = build_filter(ops, FilterSpec(s=32))
-        sig = cutoff_profile(16, fm.spec)
+        spec = FilterSpec(s=32)
+        fm = build_filter(ops, spec)
+        sig = cutoff_profile(16, spec)
         assert np.max(np.abs(ops.Vinv @ fm.F @ ops.V - np.diag(sig))) <= 1e-10
 
     def test_matches_dense_definition(self):
         # V diag(sigma) Vinv, with the cutoff formed as a dense diagonal
         ops = build_operators(24)
-        fm = build_filter(ops, FilterSpec())
-        dense = ops.V @ np.diag(cutoff_profile(24, fm.spec)) @ ops.Vinv
+        spec = FilterSpec()
+        fm = build_filter(ops, spec)
+        dense = ops.V @ np.diag(cutoff_profile(24, spec)) @ ops.Vinv
         assert np.array_equal(fm.F, dense)
 
     def test_low_modes_preserved(self):
         ops = build_operators(14)
-        fm = build_filter(ops, FilterSpec())
-        for j in range(fm.spec.nc):
+        spec = FilterSpec()
+        fm = build_filter(ops, spec)
+        for j in range(spec.nc):
             mode = ops.V[:, j]
             assert np.max(np.abs(fm.F @ mode - mode)) <= 1e-10
 

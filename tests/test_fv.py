@@ -12,6 +12,7 @@ import pytest
 from dgfilter import fv, kernels
 from dgfilter.fv import FvConfig, cell_centers, solve_fv_burgers
 from dgfilter.timestepping import MAX_STEPS
+from helpers import burgers_entropy_solution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -23,12 +24,18 @@ class TestFvConfig:
         assert cfg.dx == pytest.approx(2e-4)
 
     @pytest.mark.parametrize("bad", [dict(cells=5), dict(cells=MAX_STEPS + 1),
-                                     dict(cfl=0.0), dict(cfl=1.2),
-                                     dict(domain=(2.0, 0.0)), dict(t_final=0.0),
+                                     dict(cfl=0.0), dict(cfl=1.2), dict(t_final=0.0),
                                      dict(t_final=math.nan), dict(t_final=math.inf)])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             FvConfig(**bad)
+
+    def test_the_domain_is_fixed(self):
+        # readable on every config, as the Burgers study's [0, 2], but not settable
+        assert FvConfig.domain == FvConfig(cells=200).domain == (0.0, 2.0)
+        assert FvConfig(cells=200).dx == 0.01
+        with pytest.raises(TypeError):
+            FvConfig(domain=(0.0, 1.0))
 
 
 def test_first_step_beyond_the_step_cap_is_rejected_before_stepping(monkeypatch):
@@ -74,17 +81,21 @@ def test_cell_center_blocks_are_slices_of_the_grid():
 
 def test_a_rejected_grid_is_never_allocated(tmp_path):
     # 10^7 cells are 5e13 cell updates; the grid and u0 alone would be 160 MB
-    script = ("import resource, sys\n"
+    # The child's own peak of traced allocations (numpy's included): its
+    # ru_maxrss would start at the peak of this process, which a vfork
+    # child inherits at exec
+    script = ("import sys, tracemalloc\n"
+              "tracemalloc.start()\n"
               "from dgfilter.cli import main\n"
               "code = main(['fv-reference', '--cells', '10000000', '--out', sys.argv[1]])\n"
-              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+              "print(code, tracemalloc.get_traced_memory()[1])\n")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "f.csv")],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True,
                           text=True, timeout=120, check=True)
-    code, peak_kb = map(int, proc.stdout.split())
+    code, peak = map(int, proc.stdout.split())
     assert code == 2 and "work cap" in proc.stderr
-    assert peak_kb < 100 * 1024  # ru_maxrss is in KiB on Linux
+    assert peak < 100 * 2**20
 
 
 def test_cell_centers_cover_domain():
@@ -129,3 +140,29 @@ def test_matches_smooth_characteristics_before_shock():
     exact = init(x0)
     # first-order scheme on a fine grid: loose tolerance
     assert np.max(np.abs(u - exact)) <= 5e-3
+
+
+class TestEntropyReference:
+    """The FV reference against the exact entropy solution (Lax-Oleinik)."""
+
+    def test_follows_the_characteristics_before_the_shock(self):
+        # t = 0.5 is before the breaking time 1 / (0.2 pi): u = u0(x - t u)
+        x = np.linspace(0.0, 2.0, 1001)
+        u = burgers_entropy_solution(x, 0.5)
+        assert np.max(np.abs(u - 0.2 * (1.0 + np.cos(np.pi * (x - 0.5 * u))))) <= 1e-14
+
+    def test_the_shock_sits_at_its_symmetric_position(self):
+        # the profile is symmetric about its mean 0.2, so the shock from the
+        # inflection x = 0.5 moves at 0.2: at t = 2.25 it is at 0.95
+        u = burgers_entropy_solution(np.array([0.95 - 1e-5, 0.95 + 1e-5]), 2.25)
+        assert u[0] > 0.39 and u[1] < 0.01
+
+    def test_fv_converges_at_first_order(self):
+        errors = []
+        for cells in (1000, 2000, 4000):
+            cfg = FvConfig(cells=cells)
+            x, u, _ = solve_fv_burgers(cfg, lambda x: 0.2 * (1.0 + np.cos(np.pi * x)))
+            errors.append(float(np.sum(np.abs(u - burgers_entropy_solution(x, 2.25)))) * cfg.dx)
+        # measured 7.0e-4, 3.5e-4, 1.7e-4
+        assert errors[0] <= 8e-4
+        assert all(1.8 <= a / b <= 2.2 for a, b in zip(errors, errors[1:]))

@@ -170,7 +170,7 @@ def test_linear_study_csv_is_byte_deterministic(study, n, dt, filtered):
     """The same study written twice gives the same bytes."""
     def record():
         if study == "convergence":
-            return run_convergence([n], dt, FilterSpec() if filtered else None, t_final=0.1).record
+            return run_convergence([n], dt, filtered, t_final=0.1).record
         return run_varspeed(n, dt, filtered=filtered, t_final=0.1).record
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -6,11 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dgfilter import experiments, fv
 from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import gaussian_pulse
 from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.operators import build_operators
-from dgfilter.timestepping import MAX_STEPS, FilterSchedule, fixed_steps, integrate, rk3_step
+from dgfilter.timestepping import (MAX_STEPS, FilterSchedule, check_step_budget, fixed_steps,
+                                   integrate, rk3_step)
 from helpers import discrete_norm
 
 
@@ -116,6 +118,49 @@ class TestFixedSteps:
             tracemalloc.stop()
         assert starts.size == 10**6
         assert peak < 3 * starts.nbytes
+
+
+class TestStepBudget:
+    DT = 2.0**-20  # MAX_STEPS * DT is exact
+
+    def test_exactly_max_steps_pass_and_just_beyond_fails(self):
+        t_final = MAX_STEPS * self.DT
+        check_step_budget(t_final, self.DT)
+        with pytest.raises(ValueError, match="step cap"):
+            check_step_budget(np.nextafter(t_final, math.inf), self.DT)
+        with pytest.raises(ValueError, match="step cap"):
+            check_step_budget(t_final, np.nextafter(self.DT, 0.0))
+
+    def test_an_unbounded_step_passes(self):
+        check_step_budget(1e300, math.inf)
+
+    def test_fixed_steps_rejects_just_beyond_the_boundary(self):
+        # before allocating: the accepted side is test_step_cap's
+        with pytest.raises(ValueError, match="step cap"):
+            fixed_steps(np.nextafter(MAX_STEPS * self.DT, math.inf), self.DT)
+
+    def test_the_cfl_stepped_first_steps_go_through_it(self, monkeypatch):
+        # Burgers: t_final and the step of u0; FV: t_final and cfl dx / max|u0|
+        seen = []
+
+        class Budget(Exception):
+            pass
+
+        def spy(t_final, dt):
+            seen.append((t_final, dt))
+            raise Budget
+
+        for module in (experiments, fv):
+            monkeypatch.setattr(module, "check_step_budget", spy)
+        with pytest.raises(Budget):
+            experiments.run_burgers("skew_unfiltered", n=8, cfl=0.3, t_final=0.7)
+        h_min = experiments.min_node_spacing(build_operators(8),
+                                             ProblemSpec(pde="burgers_skew", domain=(0.0, 2.0)))
+        assert seen.pop() == (0.7, 0.3 * h_min / 0.4)
+        with pytest.raises(Budget):
+            fv.solve_fv_burgers(fv.FvConfig(cells=100, cfl=0.5, t_final=0.7),
+                                lambda x: 0.25 + 0.0 * x)
+        assert seen.pop() == (0.7, 0.5 * 0.02 / 0.25)
 
 
 class TestFilterSchedule:
