@@ -80,14 +80,16 @@ def make_rhs(problem: ProblemSpec, ops: OperatorSet) -> Callable[[np.ndarray, fl
             return kernels.advection_rhs(u, dmat, w, scale, a, float(g_fn(t)))
 
     elif problem.pde == "burgers_conservative":
+        neg_scale, face = kernels.burgers_constants(w, scale)
 
         def rhs(u, t):
-            return kernels.burgers_cons_rhs(u, dmat, w, scale)
+            return kernels.burgers_cons_rhs(u, dmat, neg_scale, face)
 
     elif problem.pde == "burgers_skew":
+        neg_scale, face = kernels.burgers_constants(w, scale)
 
         def rhs(u, t):
-            return kernels.burgers_skew_rhs(u, dmat, w, scale)
+            return kernels.burgers_skew_rhs(u, dmat, neg_scale, face)
 
     else:
         x = problem.physical_nodes(ops.nodes)

@@ -3,10 +3,13 @@
 ``equations.make_rhs`` binds the right-hand sides to a problem and looks
 them up here at call time. All of them work on the reference element:
 ``scale`` is 2 / dx and ``w`` the LGL weight vector; boundary data enters
-as plain floats.
+as plain floats. The per-step Burgers and FV paths take scalars as 0-d
+float64 arrays and products with D as ``dmat.dot``: faster in numpy, same rounding.
 """
 
 import numpy as np
+
+_HALF, _TWO_THIRDS, _THIRD = np.array(0.5), np.array(2.0 / 3.0), np.array(1.0 / 3.0)
 
 
 def advection_rhs(u, dmat, w, scale, a, u_in):
@@ -19,33 +22,41 @@ def advection_rhs(u, dmat, w, scale, a, u_in):
     return dudt
 
 
-def _add_llf_face(dudt, u, f, w, scale):
+def burgers_constants(w, scale):
+    """The Burgers kernels' constants, prepared once per problem: -scale as a
+    0-d array, and the face's (scale, w[0], w[-1]) as Python floats."""
+    return np.array(-scale), (float(scale), float(w[0]), float(w[-1]))
+
+
+def _add_llf_face(dudt, u, f, face):
     """Add the periodic LLF surface terms of Burgers at the shared face.
 
-    The face values are taken as Python floats: the same IEEE doubles as
-    numpy scalars, without numpy's per-operation dispatch.
+    ``face`` is (scale, w[0], w[-1]) from :func:`burgers_constants`. The
+    face values are taken as Python floats: the same IEEE doubles as numpy
+    scalars, without numpy's per-operation dispatch.
     """
+    scale, w_first, w_last = face
     u_l, u_r = float(u[-1]), float(u[0])
     f_l, f_r = float(f[-1]), float(f[0])
     lam = max(abs(u_r), abs(u_l))
     fstar = 0.5 * (f_l + f_r) - 0.5 * lam * (u_r - u_l)
-    dudt[0] += scale * (fstar - f_r) / float(w[0])
-    dudt[-1] -= scale * (fstar - f_l) / float(w[-1])
+    dudt[0] += scale * (fstar - f_r) / w_first
+    dudt[-1] -= scale * (fstar - f_l) / w_last
 
 
-def burgers_cons_rhs(u, dmat, w, scale):
+def burgers_cons_rhs(u, dmat, neg_scale, face):
     """Conservative Burgers on one periodic element; LLF flux at the shared face."""
-    f = 0.5 * u * u
-    dudt = -scale * (dmat @ f)
-    _add_llf_face(dudt, u, f, w, scale)
+    f = _HALF * u * u
+    dudt = neg_scale * dmat.dot(f)
+    _add_llf_face(dudt, u, f, face)
     return dudt
 
 
-def burgers_skew_rhs(u, dmat, w, scale):
+def burgers_skew_rhs(u, dmat, neg_scale, face):
     """Split-form Burgers volume term, conservative surface term, periodic."""
-    f = 0.5 * u * u
-    dudt = -scale * ((2.0 / 3.0) * (dmat @ f) + (1.0 / 3.0) * u * (dmat @ u))
-    _add_llf_face(dudt, u, f, w, scale)
+    f = _HALF * u * u
+    dudt = neg_scale * (_TWO_THIRDS * dmat.dot(f) + _THIRD * u * dmat.dot(u))
+    _add_llf_face(dudt, u, f, face)
     return dudt
 
 
@@ -83,18 +94,18 @@ def fv_burgers(u0, dx, cfl, t_end):
         np.abs(ug, out=absu)
         umax = float(absu[:n].max())
         dt = t_end - t if umax <= 1e-14 else min(cfl * dx / umax, t_end - t)
-        np.multiply(ug, 0.5, out=f)
+        np.multiply(ug, _HALF, out=f)
         f *= ug
         np.maximum(absu[:-1], absu[1:], out=lam)
         np.add(f[:-1], f[1:], out=face)
-        face *= 0.5
-        lam *= 0.5
+        face *= _HALF
+        lam *= _HALF
         np.subtract(ug[1:], ug[:-1], out=jump)
         jump *= lam
         face -= jump
         fface[0] = fface[n]
         np.subtract(face, fface[:-1], out=jump)
-        jump *= dt / dx
+        jump *= np.array(dt / dx)
         u -= jump
         t += dt
         steps += 1

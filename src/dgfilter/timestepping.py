@@ -13,6 +13,9 @@ import numpy as np
 RK3_A = (0.0, -5.0 / 9.0, -153.0 / 128.0)
 RK3_B = (1.0 / 3.0, 15.0 / 16.0, 8.0 / 15.0)
 RK3_C = (0.0, 1.0 / 3.0, 3.0 / 4.0)
+# (a, b, c) per stage for rk3_step, with a and b as 0-d arrays; the first a
+# stays a float, as it multiplies the float du = 0.0
+_RK3_STAGES = tuple(zip((RK3_A[0], *map(np.array, RK3_A[1:])), map(np.array, RK3_B), RK3_C))
 
 # Step cap: bounds fixed_steps' array of t_final / dt start times, the Burgers filter
 # count, the first step of a CFL-stepped run (Burgers, FV) and the FV grid size.
@@ -55,10 +58,13 @@ class Trajectory:
 
 
 def rk3_step(u, t: float, dt: float, rhs):
-    """One low-storage three-stage step of u' = rhs(u, t)."""
+    """One low-storage three-stage step of u' = rhs(u, t), operation for operation
+    the textbook loop from du = 0.0. It never writes into ``u`` or into an rhs
+    result, so an rhs may return its argument."""
+    h = np.array(dt)
     du = 0.0
-    for a, b, c in zip(RK3_A, RK3_B, RK3_C):
-        du = a * du + dt * rhs(u, t + c * dt)
+    for a, b, c in _RK3_STAGES:
+        du = a * du + h * rhs(u, t + c * dt)
         u = u + b * du
     return u
 

@@ -5,14 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from dgfilter import experiments, fv
 from dgfilter.equations import ProblemSpec, make_rhs
 from dgfilter.experiments import gaussian_pulse
 from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.operators import build_operators
-from dgfilter.timestepping import (MAX_STEPS, FilterSchedule, check_step_budget, fixed_steps,
-                                   integrate, rk3_step)
+from dgfilter.timestepping import (MAX_STEPS, RK3_A, RK3_B, RK3_C, FilterSchedule,
+                                   check_step_budget, fixed_steps, integrate, rk3_step)
 from helpers import discrete_norm
 
 
@@ -54,6 +57,54 @@ class TestRk3Step:
         # y' = 3 t^2 integrates exactly (rhs polynomial of degree 2 in t)
         y = rk3_step(0.0, 0.0, 1.0, lambda u, t: 3.0 * t * t)
         assert y == pytest.approx(1.0, abs=1e-14)
+
+
+def textbook_rk3_step(u, t, dt, rhs):
+    """Reference: the low-storage step on Python-float coefficients."""
+    du = 0.0
+    for a, b, c in zip(RK3_A, RK3_B, RK3_C):
+        du = a * du + dt * rhs(u, t + c * dt)
+        u = u + b * du
+    return u
+
+
+# The aliasing case returns its argument; the others depend on the time.
+# "signed" reads the sign of a zero state, so a step that dropped the first
+# stage's 0.0 + (du = dt rhs in place of 0.0 + dt rhs) reads differently.
+CONTRACT_RHS = {
+    "identity": lambda u, t: u,
+    "quadratic": lambda u, t: t * (u * u) - u,
+    "matrix": lambda u, t: np.cos(t) * (np.tri(u.shape[0]) @ u) + t,
+    "signed": lambda u, t: u + t * np.copysign(1.0, u),
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+# vectors and (n, m) stacks; the floats include -0.0 and subnormals
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=12),
+              elements=st.floats(-1e3, 1e3)),
+       st.floats(-10.0, 10.0), st.floats(1e-6, 1.0),
+       st.sampled_from(sorted(CONTRACT_RHS)))
+@example(np.array([-0.0, 0.0, 1.0]), 0.0, 0.5, "signed")
+def test_rk3_step_is_the_textbook_step_and_writes_no_array(u, t, dt, name):
+    rhs = CONTRACT_RHS[name]
+    seen = []
+
+    def recorded(v, s):
+        out = rhs(v, s)
+        seen.append((out, out.tobytes()))
+        return out
+
+    before = u.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rk3_step(u, t, dt, recorded)
+        ref = textbook_rk3_step(u.copy(), t, dt, rhs)
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    # a new array, and no state or rhs result written: run_burgers keys its
+    # energy cache on the identity of each state
+    assert out is not u and not np.shares_memory(out, u)
+    assert u.tobytes() == before
+    assert all(arr.tobytes() == data for arr, data in seen)
 
 
 def loop_fixed_steps(t_final, dt):
