@@ -95,10 +95,12 @@ def _lgl_newton(ns: Sequence[int], half=None) -> tuple[np.ndarray, np.ndarray, d
     1e-4 of the roots at n = 3 and 3e-9 at n = 512, symmetrized so that
     Newton, being sign-symmetric, need only run on x >= 0. Each pass runs one
     recurrence over all the nodes, the step at each node's own n; a degree
-    stops without its step once its max|step| <= ``_NEWTON_TOL`` (three
-    passes for n >= 3), and P_n is from that pass. An ``(max(ns) + 1) x
-    x.size`` array ``half`` gets P_k(x) in row k from the pass predicted to be
-    the last (every n max|step| <= ``_TABLE_PREDICT``), or one more recurrence.
+    stops without its step once its max|step| <= ``_NEWTON_TOL``, and P_n is
+    from that pass. An ``(max(ns) + 1) x x.size`` array ``half`` gets P_k(x)
+    in row k from the pass predicted to be the last (every n max|step| <=
+    ``_TABLE_PREDICT``), or one more recurrence. With ``half``, n >= 4 takes
+    three recurrences in all; n = 3 takes four, because its third and last
+    pass is not the predicted one.
     """
     if not ns:
         return np.empty(0), np.empty(0), {}
@@ -262,7 +264,9 @@ def _assemble(n: int, nodes, weights, table, check: bool) -> OperatorSet:
 def build_operators(n: int, check: bool = True) -> OperatorSet:
     """The operator set for degree ``n``; three recurrences for n >= 4, the last
     Newton pass of :func:`lgl_nodes_weights` filling V's table. With ``check``
-    the SBP residual is held to :func:`sbp_tolerance`."""
+    the SBP residual is held to :func:`sbp_tolerance`. The degree is checked
+    before the ``(n + 1) x (n + 1)`` table is allocated."""
+    _check_degree(n)
     table = np.empty((n + 1, n + 1))
     nodes, weights = lgl_nodes_weights(n, table)
     return _assemble(n, nodes, weights, table, check)

@@ -70,6 +70,12 @@ class TestNodesWeights:
         with pytest.raises(ValueError):
             lgl_nodes_weights(513)
 
+    @pytest.mark.parametrize("n", [-5, 0, 100000])
+    def test_build_rejects_the_degree_before_allocating(self, n):
+        # an (n + 1)^2 table first would fail as numpy's memory or shape error
+        with pytest.raises(ValueError, match="degree"):
+            build_operators(n)
+
     @pytest.mark.skipif(np.finfo(np.longdouble).precision <= np.finfo(float).precision,
                         reason="long double is no wider than double on this platform")
     @pytest.mark.parametrize("n", SWEEP_NS[1:])
