@@ -201,6 +201,8 @@ def _check_out(path: str) -> None:
     """Fail before a study runs if its CSV cannot be created."""
     if os.path.isdir(path):
         raise OSError(f"cannot write {path}: it is a directory")
+    if not os.path.basename(path):  # '' or a trailing separator
+        raise OSError(f"cannot write {path!r}: it names no file")
     parent = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise OSError(f"cannot write {path}: {parent} is not a writable directory")

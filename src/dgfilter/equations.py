@@ -1,8 +1,11 @@
 """Semi-discrete nodal DG right-hand sides on a single spectral element.
 
-Supported problems: linear advection with constant or variable wave speed
-(inflow boundary at the left) and Burgers' equation in conservative or
-split (skew-symmetric) form with periodic coupling of the two element faces.
+Supported problems: linear advection u_t + a(x) u_x = 0 with the wave speed
+``a`` given at the nodes and inflow at the left, and Burgers' equation in
+conservative or split (skew-symmetric) form with periodic coupling of the
+two element faces. Advection is linear, so it is assembled once as the
+matrix and vector of u' = L u + r g(t) (:func:`linear_operator`, O(N^2));
+Burgers is a per-state closure (:func:`make_rhs`).
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ import numpy as np
 from . import kernels
 from .operators import OperatorSet
 
-PDE_KINDS = (
-    "advection_constant",
-    "advection_variable",
-    "burgers_conservative",
-    "burgers_skew",
-)
+PDE_KINDS = ("advection_variable", "burgers_conservative", "burgers_skew")
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,6 @@ class ProblemSpec:
 
     pde: str
     domain: tuple[float, float] = (-1.0, 1.0)
-    wave_speed: float = 1.0
     wave_speed_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     inflow: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -46,10 +43,8 @@ class ProblemSpec:
         x_l, x_r = self.domain
         if not x_r > x_l:
             raise ValueError("domain must satisfy x_L < x_R")
-        if self.pde == "advection_constant" and self.wave_speed < 0:
-            raise ValueError("inflow at the left requires a non-negative wave speed")
         if self.pde == "advection_variable" and self.wave_speed_fn is None:
-            raise ValueError("variable-speed advection needs wave_speed_fn")
+            raise ValueError("advection needs wave_speed_fn")
 
     @property
     def dx(self) -> float:
@@ -64,43 +59,38 @@ class ProblemSpec:
         return self.domain[0] + 0.5 * self.dx * (ref_nodes + 1.0)
 
 
-def make_rhs(problem: ProblemSpec, ops: OperatorSet) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Bind a problem to its operators as an array-level rhs(u, t) closure.
+def linear_operator(problem: ProblemSpec, ops: OperatorSet) -> tuple[np.ndarray, np.ndarray]:
+    """(L, r) with u' = L u + r g(t), g = ``problem.inflow``, for an advection problem.
 
-    This is the one right-hand-side entry point for every PDE kind. It
-    precomputes everything the kernels need so the time loop touches no
-    Python-level problem logic; the kernels themselves are looked up on
-    :mod:`kernels` at call time, so a tracer can swap them.
+    The wave speed is ``problem.wave_speed_fn`` at the physical nodes; it
+    must be non-negative at the left endpoint, where the inflow enters. The
+    body is looked up on :mod:`kernels` at call time, so a tracer can swap it.
     """
-    dmat, w, scale = ops.D, ops.weights, problem.scale
-    if problem.pde == "advection_constant":
-        a, g_fn = problem.wave_speed, problem.inflow
+    if problem.pde != "advection_variable":
+        raise ValueError(f"{problem.pde!r} is not linear")
+    x = problem.physical_nodes(ops.nodes)
+    a_nodes = np.ascontiguousarray(problem.wave_speed_fn(x), dtype=float)
+    if a_nodes[0] < 0:
+        raise ValueError("wave speed must be non-negative at the left endpoint")
+    return kernels.advection_rhs(ops.D, a_nodes, ops.weights, problem.scale)
 
-        def rhs(u, t):
-            return kernels.advection_rhs(u, dmat, w, scale, a, float(g_fn(t)))
 
-    elif problem.pde == "burgers_conservative":
-        neg_scale, face = kernels.burgers_constants(w, scale)
+def make_rhs(problem: ProblemSpec, ops: OperatorSet) -> Callable[[np.ndarray, float], np.ndarray]:
+    """Bind a Burgers problem to its operators as an array-level rhs(u, t) closure.
 
+    It precomputes everything the kernels need so the time loop touches no
+    Python-level problem logic; the kernels themselves are looked up on
+    :mod:`kernels` at call time, so a tracer can swap them. Advection is
+    :func:`linear_operator` instead.
+    """
+    if problem.pde == "advection_variable":
+        raise ValueError("advection is linear: use linear_operator")
+    dmat = ops.D
+    neg_scale, face = kernels.burgers_constants(ops.weights, problem.scale)
+    if problem.pde == "burgers_conservative":
         def rhs(u, t):
             return kernels.burgers_cons_rhs(u, dmat, neg_scale, face)
-
-    elif problem.pde == "burgers_skew":
-        neg_scale, face = kernels.burgers_constants(w, scale)
-
+    else:
         def rhs(u, t):
             return kernels.burgers_skew_rhs(u, dmat, neg_scale, face)
-
-    else:
-        x = problem.physical_nodes(ops.nodes)
-        a_nodes = np.ascontiguousarray(problem.wave_speed_fn(x), dtype=float)
-        a_left = float(a_nodes[0])
-        if a_left < 0:
-            raise ValueError("wave speed must be non-negative at the left endpoint")
-        g_fn = problem.inflow
-
-        def rhs(u, t):
-            return kernels.varspeed_rhs(u, dmat, a_nodes, w, scale, a_left,
-                                        float(g_fn(t)))
-
     return rhs

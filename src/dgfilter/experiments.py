@@ -11,12 +11,12 @@ byte-identical output at the same BLAS thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .equations import ProblemSpec, make_rhs
+from .equations import ProblemSpec, linear_operator, make_rhs
 from .filters import FilterSpec, build_filter
 from .fv import FvConfig, solve_fv_burgers
 from .operators import OperatorSet, build_operator_sets, build_operators
@@ -133,18 +133,6 @@ def write_csv(path, records: Sequence[ExperimentRecord]) -> None:
 STEP_CHUNK = 64
 
 
-def _linear_rhs_matrix(problem: ProblemSpec, ops: OperatorSet):
-    """(L, r) with make_rhs(problem, ops)(u, t) = L u + r g(t) for an advection problem.
-
-    L is the right-hand side of the identity, taken as N+1 states at once,
-    under zero inflow; r is the right-hand side of u = 0 under unit inflow.
-    """
-    n1 = ops.N + 1
-    lmat = make_rhs(replace(problem, inflow=lambda t: 0.0), ops)(np.eye(n1), 0.0)
-    r = make_rhs(replace(problem, inflow=lambda t: 1.0), ops)(np.zeros(n1), 0.0)
-    return lmat, r
-
-
 def _run_linear(problem: ProblemSpec, ops: OperatorSet, u0_fn, exact_fn, t_final: float,
                 dt: float, steps: tuple[np.ndarray, float], filtered: bool):
     """One fixed-step linear advection run on the operators ``ops`` to ``t_final``.
@@ -152,7 +140,8 @@ def _run_linear(problem: ProblemSpec, ops: OperatorSet, u0_fn, exact_fn, t_final
     Takes the steps ``steps = fixed_steps(t_final, dt)``, the ones
     :func:`integrate` would with ``dt_fn = lambda u: dt``.
     One full step is the affine map u <- A u + B g with A = F S and B = F Q
-    (S and Q from :func:`rk3_affine_step`; F is ``STUDY_FILTER``'s, left out
+    (S and Q from :func:`rk3_affine_step` of the problem's
+    :func:`linear_operator` (L, r); F is ``STUDY_FILTER``'s, left out
     unless ``filtered``) and g the inflow at the step's three stage times.
     It is built once, as E = A - I and B, and applied as u + (E u + B g).
     The map of 2k steps comes from the map of k by doubling:
@@ -168,7 +157,7 @@ def _run_linear(problem: ProblemSpec, ops: OperatorSet, u0_fn, exact_fn, t_final
     starts, h_last = steps
     fmat = build_filter(ops, STUDY_FILTER).F if filtered else None
     x = problem.physical_nodes(ops.nodes)
-    lmat, r = _linear_rhs_matrix(problem, ops)
+    lmat, r = linear_operator(problem, ops)
     n1 = ops.N + 1
 
     inc = rk3_affine_step(lmat, r, dt)
@@ -220,7 +209,7 @@ def run_convergence(n_list: Sequence[int] = range(7, 64, 2), dt: float = 4e-4,
         raise ValueError("convergence sweep degrees must lie in [7, 64]")
     record = ExperimentRecord("convergence", filter_tag(filtered))
     problem = ProblemSpec(
-        pde="advection_constant", domain=(0.0, 1.0), wave_speed=1.0,
+        pde="advection_variable", domain=(0.0, 1.0), wave_speed_fn=np.ones_like,
         inflow=lambda t: gaussian_pulse(0.0, t),
     )
     steps = fixed_steps(t_final, dt)  # checks dt before any operator work

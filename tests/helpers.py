@@ -1,12 +1,16 @@
 """What only the tests use: the quadrature norm, a shock locator, the
 trapezoid weights that the negative controls put in place of the LGL rule,
-and the exact entropy solution of the Burgers study.
+the exact entropy solution of the Burgers study, the right-hand side
+L u + r g of an advection problem, and two per-state advection formulas
+that the assembled (L, r) is checked against.
 
 Test modules import this file as ``helpers``: pytest's default import mode
 puts ``tests/`` on ``sys.path``, and so does running a test file as a script.
 """
 
 import numpy as np
+
+from dgfilter.equations import linear_operator
 
 
 def discrete_norm(u: np.ndarray, w: np.ndarray) -> float:
@@ -61,3 +65,26 @@ def burgers_entropy_solution(x: np.ndarray, t: float) -> np.ndarray:
             yc = yc - g / (-0.2 * np.pi * np.sin(np.pi * yc) + 1.0 / t)
         y_star[lo:lo + chunk] = yc
     return (x - y_star) / t
+
+
+def linear_rhs(problem, ops):
+    """rhs(u, t) = L u + r g(t) of an advection problem, from its assembled (L, r)."""
+    lmat, r = linear_operator(problem, ops)
+    return lambda u, t: lmat @ u + r * problem.inflow(t)
+
+
+def conservative_advection_rhs(u, dmat, w, scale, a, u_in):
+    """Conservative constant-speed advection of one state: upwind data u_in at the left face."""
+    f = a * u
+    dudt = -scale * (dmat @ f)
+    fstar = 0.5 * (a * u_in + f[0]) - 0.5 * abs(a) * (u[0] - u_in)
+    dudt[0] += scale * (fstar - f[0]) / w[0]
+    # right face is outflow for a >= 0: exterior copies interior, no jump
+    return dudt
+
+
+def varspeed_advection_rhs(u, dmat, a_nodes, w, scale, a_left, g_in):
+    """Advective-form variable-speed transport of one state with a left inflow penalty."""
+    dudt = -a_nodes * (scale * (dmat @ u))
+    dudt[0] -= scale * a_left * (u[0] - g_in) / w[0]
+    return dudt

@@ -176,6 +176,11 @@ class TestExitCodes:
                      id="unwritable-out"),
         pytest.param(["fv-reference", "--cells", "2000", "--out", "{tmp}"],
                      id="out-is-directory"),
+        pytest.param(["burgers", "--variant", "skew_filtered", "--out", ""], id="out-empty"),
+        pytest.param(["burgers", "--variant", "skew_filtered", "--out", "{tmp}/missing_dir/"],
+                     id="out-missing-dir-trailing-separator"),
+        pytest.param(["burgers", "--variant", "skew_filtered", "--out", "{tmp}/existing_file/"],
+                     id="out-file-trailing-separator"),
         pytest.param(["burgers", "--variant", "skew_unfiltered", "--cfl", "nan",
                       "--out", "{tmp}/b.csv"], id="burgers-nan-cfl"),
         pytest.param(["convergence", "--n-list", "7,9", "--dt", "nan", "--out", "{tmp}/c.csv"],
@@ -196,6 +201,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(experiments, "run_fv_reference", never_called)
         monkeypatch.setattr(experiments, "integrate", never_called)
+        (tmp_path / "existing_file").touch()
         code = main([a.format(tmp=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert code == 2

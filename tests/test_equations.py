@@ -1,9 +1,12 @@
-"""Tests for the semi-discrete right-hand sides and their numerical fluxes."""
+"""Tests for the semi-discrete right-hand sides and their numerical fluxes.
+
+Advection is read off its assembled operator as L u + r g (``helpers.linear_rhs``).
+"""
 
 import numpy as np
 import pytest
 
-from dgfilter.equations import ProblemSpec, make_rhs
+from dgfilter.equations import ProblemSpec, linear_operator, make_rhs
 from dgfilter.experiments import (
     burgers_initial,
     varspeed_exact,
@@ -11,10 +14,13 @@ from dgfilter.experiments import (
 )
 from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.operators import build_operators
+from helpers import conservative_advection_rhs, linear_rhs
 
 
 def advection_problem(g, a=1.0, domain=(0.0, 1.0)):
-    return ProblemSpec(pde="advection_constant", domain=domain, wave_speed=a, inflow=g)
+    """Advection at the constant speed ``a``."""
+    return ProblemSpec(pde="advection_variable", domain=domain,
+                       wave_speed_fn=lambda x: np.full_like(x, a), inflow=g)
 
 
 def burgers_problem(pde="burgers_conservative"):
@@ -35,7 +41,11 @@ def energy(problem, ops, u):
 class TestProblemSpec:
     def test_rejects_negative_speed_inflow(self):
         with pytest.raises(ValueError):
-            ProblemSpec(pde="advection_constant", wave_speed=-1.0, inflow=lambda t: 0.0)
+            linear_operator(advection_problem(lambda t: 0.0, a=-1.0), build_operators(4))
+
+    def test_advection_needs_a_wave_speed(self):
+        with pytest.raises(ValueError):
+            ProblemSpec(pde="advection_variable", inflow=lambda t: 0.0)
 
     def test_rejects_reversed_domain(self):
         with pytest.raises(ValueError):
@@ -61,7 +71,7 @@ class TestLlfFlux:
         ops = build_operators(8)
         u = np.linspace(0.7, -0.3, 9)
         problem = advection_problem(lambda t: 0.7, a=2.0)
-        rhs = make_rhs(problem, ops)(u, 0.0)
+        rhs = linear_rhs(problem, ops)(u, 0.0)
         assert rhs[0] == pytest.approx(-problem.scale * (ops.D @ (2.0 * u))[0])
         u = 0.7 + 0.2 * (1.0 - ops.nodes**2)
         problem = burgers_problem()
@@ -74,7 +84,7 @@ class TestLlfFlux:
         # 1 - (-1) = 2, enters through the left weight
         ops = build_operators(8)
         problem = advection_problem(lambda t: 2.0)
-        rhs = make_rhs(problem, ops)(np.zeros(9), 0.0)
+        rhs = linear_rhs(problem, ops)(np.zeros(9), 0.0)
         assert rhs[0] == pytest.approx(problem.scale * 2.0 / ops.weights[0])
 
     def test_burgers_hand_value(self):
@@ -91,7 +101,7 @@ class TestLlfFlux:
 class TestConservativeRhs:
     def test_constant_is_steady_for_advection(self):
         ops = build_operators(12)
-        rhs = make_rhs(advection_problem(lambda t: 3.0), ops)
+        rhs = linear_rhs(advection_problem(lambda t: 3.0), ops)
         assert np.max(np.abs(rhs(np.full(13, 3.0), 0.0))) <= 1e-13
 
     def test_constant_is_steady_for_burgers(self):
@@ -102,7 +112,7 @@ class TestConservativeRhs:
     def test_linear_profile_exact_transport(self):
         # u(x, 0) = xi on [-1, 1] with matching inflow data: u_t = -u_x = -1
         ops = build_operators(8)
-        rhs = make_rhs(advection_problem(lambda t: -1.0 - t, domain=(-1.0, 1.0)), ops)
+        rhs = linear_rhs(advection_problem(lambda t: -1.0 - t, domain=(-1.0, 1.0)), ops)
         assert np.allclose(rhs(ops.nodes.copy(), 0.0), -np.ones(9), atol=1e-13)
 
     @pytest.mark.parametrize("n", [6, 20])
@@ -115,7 +125,7 @@ class TestConservativeRhs:
         ops = build_operators(n)
         problem = advection_problem(lambda t, p=p: float(p(0.0)), domain=(0.0, 1.0))
         x = problem.physical_nodes(ops.nodes)
-        assert np.max(np.abs(make_rhs(problem, ops)(p(x), 0.0) + dp(x))) <= 1e-11
+        assert np.max(np.abs(linear_rhs(problem, ops)(p(x), 0.0) + dp(x))) <= 1e-11
 
 
 class TestSkewRhs:
@@ -162,17 +172,18 @@ class TestVariableSpeedRhs:
         problem = ProblemSpec(pde="advection_variable", domain=(0.0, 1.0),
                               wave_speed_fn=lambda x: np.full_like(x, 2.0),
                               inflow=lambda t: 0.6)
-        dudt = make_rhs(problem, ops)(np.full(11, 0.6), 0.0)
+        dudt = linear_rhs(problem, ops)(np.full(11, 0.6), 0.0)
 
-        cons = make_rhs(advection_problem(lambda t: 0.6, a=2.0), ops)
-        assert np.allclose(dudt, cons(np.full(11, 0.6), 0.0), atol=1e-12)
+        cons = conservative_advection_rhs(np.full(11, 0.6), ops.D, ops.weights, problem.scale,
+                                          2.0, 0.6)
+        assert np.allclose(dudt, cons, atol=1e-12)
 
     def test_constant_state_with_matching_data_is_steady(self):
         ops = build_operators(12)
         problem = ProblemSpec(pde="advection_variable", domain=(-1.0, 1.0),
                               wave_speed_fn=varspeed_wave_speed,
                               inflow=lambda t: 0.9)
-        assert np.max(np.abs(make_rhs(problem, ops)(np.full(13, 0.9), 0.0))) <= 1e-13
+        assert np.max(np.abs(linear_rhs(problem, ops)(np.full(13, 0.9), 0.0))) <= 1e-13
 
     def test_rejects_negative_inflow_speed(self):
         ops = build_operators(6)
@@ -180,7 +191,7 @@ class TestVariableSpeedRhs:
                               wave_speed_fn=lambda x: x,  # negative at x = -1
                               inflow=lambda t: 0.0)
         with pytest.raises(ValueError):
-            make_rhs(problem, ops)
+            linear_operator(problem, ops)
 
     @pytest.mark.parametrize("n,tol", [(8, 1e-2), (16, 1e-8), (32, 1e-9)])
     def test_matches_time_derivative_of_exact_solution(self, n, tol):
@@ -188,7 +199,7 @@ class TestVariableSpeedRhs:
         ops = build_operators(n)
         problem = varspeed_problem()
         x = problem.physical_nodes(ops.nodes)
-        dudt = make_rhs(problem, ops)(varspeed_exact(x, 0.0), 0.0)
+        dudt = linear_rhs(problem, ops)(varspeed_exact(x, 0.0), 0.0)
         h = 1e-5
         ut = (varspeed_exact(x, h) - varspeed_exact(x, -h)) / (2.0 * h)
         assert np.max(np.abs(dudt - ut)) <= tol
@@ -199,7 +210,7 @@ class TestVariableSpeedRhs:
         for n in (8, 16):
             ops = build_operators(n)
             x = problem.physical_nodes(ops.nodes)
-            dudt = make_rhs(problem, ops)(varspeed_exact(x, 0.0), 0.0)
+            dudt = linear_rhs(problem, ops)(varspeed_exact(x, 0.0), 0.0)
             h = 1e-5
             ut = (varspeed_exact(x, h) - varspeed_exact(x, -h)) / (2.0 * h)
             errs.append(np.max(np.abs(dudt - ut)))
@@ -237,3 +248,11 @@ class TestMakeRhs:
         rhs = make_rhs(burgers_problem(), ops)
         u = np.full(7, np.nan)
         assert not np.all(np.isfinite(rhs(u, 0.0)))
+
+    def test_advection_has_no_closure(self):
+        with pytest.raises(ValueError):
+            make_rhs(advection_problem(lambda t: 0.0), build_operators(6))
+
+    def test_burgers_has_no_linear_operator(self):
+        with pytest.raises(ValueError):
+            linear_operator(burgers_problem(), build_operators(6))

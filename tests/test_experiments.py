@@ -1,19 +1,16 @@
 """Tests for the experiment drivers, diagnostics and CSV emission."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from dgfilter import experiments, operators
-from dgfilter.equations import ProblemSpec, make_rhs
+from dgfilter.equations import ProblemSpec, linear_operator
 from dgfilter.experiments import (
     BURGERS_VARIANTS,
     CSV_HEADER,
     FILTER_PARAMS,
     STEP_CHUNK,
     STUDY_FILTER,
-    _linear_rhs_matrix,
     _run_linear,
     burgers_initial,
     error_linf,
@@ -32,7 +29,8 @@ from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.fv import FvConfig
 from dgfilter.operators import build_operators
 from dgfilter.timestepping import MAX_STEPS, FilterSchedule, fixed_steps, integrate, rk3_step
-from helpers import shock_position
+from helpers import (conservative_advection_rhs, linear_rhs, shock_position,
+                     varspeed_advection_rhs)
 
 
 class TestProblemData:
@@ -187,7 +185,8 @@ def linear_case(kind, calls):
         return inflow
 
     if kind == "constant":
-        problem = ProblemSpec(pde="advection_constant", domain=(0.0, 1.0), wave_speed=1.0,
+        problem = ProblemSpec(pde="advection_variable", domain=(0.0, 1.0),
+                              wave_speed_fn=np.ones_like,
                               inflow=recorded(lambda t: gaussian_pulse(0.0, t)))
         return problem, 24, lambda x: gaussian_pulse(x, 0.0), gaussian_pulse
     problem = ProblemSpec(pde="advection_variable", domain=(-1.0, 1.0),
@@ -196,29 +195,46 @@ def linear_case(kind, calls):
     return problem, 40, lambda x: np.sin(np.pi * x), varspeed_exact
 
 
-def probe_rhs_matrix(problem, ops):
-    """(L, r) read off the right-hand side one unit vector at a time."""
-    n1 = ops.N + 1
-    rhs = make_rhs(replace(problem, inflow=lambda t: 0.0), ops)
+def probe_rhs_matrix(reference, n1):
+    """L read off a per-state right-hand side ``reference(u, g)`` one unit
+    vector at a time, under zero inflow."""
     lmat = np.empty((n1, n1))
     e = np.zeros(n1)
     for j in range(n1):
         e[j] = 1.0
-        lmat[:, j] = rhs(e, 0.0)
+        lmat[:, j] = reference(e, 0.0)
         e[j] = 0.0
-    r = make_rhs(replace(problem, inflow=lambda t: 1.0), ops)(np.zeros(n1), 0.0)
-    return lmat, r
+    return lmat
+
+
+def per_state_references(kind, problem, ops):
+    """The per-state advection formulas that a study's (L, r) must reproduce:
+    the advective form with the nodal speeds, and for the convergence
+    problem (speed 1) the conservative upwind form as well."""
+    a_nodes = problem.wave_speed_fn(problem.physical_nodes(ops.nodes))
+    d, w, scale = ops.D, ops.weights, problem.scale
+    refs = [lambda u, g: varspeed_advection_rhs(u, d, a_nodes, w, scale, float(a_nodes[0]), g)]
+    if kind == "constant":
+        refs.append(lambda u, g: conservative_advection_rhs(u, d, w, scale, 1.0, g))
+    return refs
 
 
 @pytest.mark.parametrize("kind", ["constant", "variable"])
-@pytest.mark.parametrize("n", [1, 7, 64, 256, 512])
+@pytest.mark.parametrize("n", [1, *range(7, 64, 2), 64, 128, 256, 512])
 def test_batched_rhs_matrix_matches_the_unit_vector_probe(kind, n):
+    # the convergence degrees and N = 64..512 (the varspeed study's is 256);
+    # at N = 21, 29, 39, 55 and 63 D's diagonal holds a -0.0, which L
+    # must store as the probe's +0.0
     problem, _, _, _ = linear_case(kind, [])
     ops = build_operators(n)
-    lmat, r = _linear_rhs_matrix(problem, ops)
-    ref_lmat, ref_r = probe_rhs_matrix(problem, ops)
+    lmat, r = linear_operator(problem, ops)
     assert lmat.flags.c_contiguous
-    assert lmat.tobytes() == ref_lmat.tobytes() and r.tobytes() == ref_r.tobytes()
+    for reference in per_state_references(kind, problem, ops):
+        assert lmat.tobytes() == probe_rhs_matrix(reference, n + 1).tobytes()
+        # r g rounds (scale a_0 / w_0) g, the reference (scale a_0 g) / w_0:
+        # the same double when g is a power of two
+        for g in (1.0, 0.25, 8.0):
+            assert (r * g).tobytes() == reference(np.zeros(n + 1), g).tobytes()
 
 
 class TestLinearPropagator:
@@ -266,7 +282,7 @@ class TestLinearPropagator:
         ops = build_operators(n)
         fmat = build_filter(ops, FilterSpec()).F
         schedule = FilterSchedule(fmat, step_ends) if filtered else None
-        traj = integrate(u0_fn(x), make_rhs(problem, ops), t_final, schedule=schedule,
+        traj = integrate(u0_fn(x), linear_rhs(problem, ops), t_final, schedule=schedule,
                          dt_fn=lambda u: dt)
 
         # same steps: the inflow is asked for at the same stage times
@@ -294,7 +310,7 @@ class TestLinearPropagator:
 
         # the same L, F and inflow, one step at a time in long double
         ops = build_operators(n)
-        lmat, r = (a.astype(np.longdouble) for a in _linear_rhs_matrix(problem, ops))
+        lmat, r = (a.astype(np.longdouble) for a in linear_operator(problem, ops))
         fmat = build_filter(ops, FilterSpec()).F.astype(np.longdouble) if filtered else None
         starts, h_last = fixed_steps(t_final, dt)
         ref = u0_fn(x).astype(np.longdouble)

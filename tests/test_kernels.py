@@ -1,4 +1,4 @@
-"""The Burgers kernels and the FV sweep against straightforward references.
+"""The kernels and the FV sweep against straightforward references.
 
 The references below are the plain numpy forms of the same arithmetic:
 face fluxes on numpy scalars, and an FV sweep that builds its neighbours
@@ -6,6 +6,8 @@ with ``np.roll`` and allocates every intermediate. The kernels reorganise
 the work (Python floats at the face, 0-d array scalars and ``dmat.dot``;
 one periodic ghost cell and buffers reused in place) without changing any
 floating-point operation or its order, so the results must be bitwise equal.
+The assembled advection operator is checked against the per-state formula
+of ``helpers.varspeed_advection_rhs`` on data that makes the regrouping exact.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from dgfilter import kernels
 from dgfilter.operators import build_operators
+from helpers import varspeed_advection_rhs
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -120,47 +123,52 @@ def test_burgers_kernels_keep_a_non_finite_state_non_finite(kernel, reference, w
     assert np.array_equal(out, ref, equal_nan=True)
 
 
-def advection_kernels(rng, n):
-    """The two advection kernels as functions of (u, dmat), with random
-    speeds, weights, scale and inflow data at degree ``n``. The constant
-    speed is a multiple of 1/4, so that ``a * u`` is exact for small
-    integers ``u``."""
-    w = rng.uniform(0.1, 1.0, n + 1)
-    a_nodes = rng.uniform(-1.0, 1.0, n + 1)
-    scale, g_in = rng.uniform(0.5, 4.0, 2)
-    a = rng.integers(1, 8) / 4
-    return [lambda u, dmat: kernels.advection_rhs(u, dmat, w, scale, a, g_in),
-            lambda u, dmat: kernels.varspeed_rhs(u, dmat, a_nodes, w, scale, abs(a), g_in)]
+def powers_of_two(rng, lo, hi, size):
+    """Random powers of two 2^k, lo <= k < hi, of random sign."""
+    return rng.choice([-1.0, 1.0], size) * 2.0 ** rng.integers(lo, hi, size)
 
 
-def by_columns(kernel, u, dmat):
-    return np.stack([kernel(u[:, j], dmat) for j in range(u.shape[1])], axis=1)
+def advection_case(rng, dmat, w, a_nodes):
+    """(L, r) of ``kernels.advection_rhs`` at a random power-of-two scale, and
+    the per-state reference ``reference(u, g)``; the inflow speed
+    ``a_nodes[0]`` is made non-negative."""
+    a_nodes[0] = abs(a_nodes[0])
+    scale = 2.0 ** rng.integers(-1, 3)
+    return (kernels.advection_rhs(dmat, a_nodes, w, scale),
+            lambda u, g: varspeed_advection_rhs(u, dmat, a_nodes, w, scale, a_nodes[0], g))
+
+
+def by_columns(reference, u, g):
+    return np.stack([reference(u[:, j], g[j]) for j in range(u.shape[1])], axis=1)
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 256, 512])
 def test_advection_kernels_take_a_stack_of_one_entry_states(n):
-    # As in the batched L of the linear studies, each column holds one
-    # nonzero entry. Every sum in D @ u then has one nonzero term, so it is
-    # exact in any order, and the stack equals the columns bit for bit.
+    # L applied to a stack of states against the per-state reference, state
+    # by state. Each column holds one nonzero entry, so every sum in L U and
+    # D u has one nonzero term; the speeds, the scale and the entries are
+    # powers of two, so regrouping their products rounds nothing, and the
+    # stack equals the columns bit for bit.
     rng = np.random.default_rng(n)
     dmat = build_operators(n).D
+    (lmat, _), reference = advection_case(rng, dmat, rng.uniform(0.1, 1.0, n + 1),
+                                          powers_of_two(rng, -2, 3, n + 1))
     m = 2 * n + 3
     u = np.zeros((n + 1, m))
-    u[rng.integers(0, n + 1, m), np.arange(m)] = rng.uniform(-2.0, 2.0, m)
-    for kernel in advection_kernels(rng, n):
-        out = kernel(u, dmat)
-        assert out.shape == u.shape
-        assert out.tobytes() == by_columns(kernel, u, dmat).tobytes()
+    u[rng.integers(0, n + 1, m), np.arange(m)] = powers_of_two(rng, -4, 4, m)
+    assert (lmat @ u).tobytes() == by_columns(reference, u, np.zeros(m)).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 256])
 def test_advection_kernels_take_a_stack_of_dense_states(n):
-    # With dense columns, the matrix product may sum in another order than
-    # the matrix-vector product. Small integers in D and u (and a dyadic
-    # constant speed) keep every sum exact, so the rest of each kernel is
-    # compared bit for bit.
+    # L U + r g against the per-state reference under inflow g, state by
+    # state. Small integers in D, u and g, and dyadic speeds, scale and
+    # weights, keep every sum and product exact in any order, so the two
+    # agree exactly; only the sign of a zero sum is left to the order.
     rng = np.random.default_rng(n)
     dmat = rng.integers(-4, 5, (n + 1, n + 1)).astype(float)
+    (lmat, r), reference = advection_case(rng, dmat, 2.0 ** -rng.integers(0, 4, n + 1),
+                                          rng.integers(-7, 8, n + 1) / 4)
     u = rng.integers(-8, 9, (n + 1, 5)).astype(float)
-    for kernel in advection_kernels(rng, n):
-        assert kernel(u, dmat).tobytes() == by_columns(kernel, u, dmat).tobytes()
+    g = rng.integers(-8, 9, 5).astype(float)
+    assert np.array_equal(lmat @ u + r[:, None] * g, by_columns(reference, u, g))

@@ -1,7 +1,8 @@
 """Randomised invariants on drawn degrees, filter parameters and states:
 filter contractivity (for the exponential profile and for any profile with
-|sigma_i| <= 1), the adjoint identity, the split-form Burgers energy
-bound, conservation of mass by the filter, the conservative-form DG
+|sigma_i| <= 1), the adjoint identity, the semi-discrete energy bound of the
+assembled advection operator, the split-form Burgers energy bound,
+conservation of mass by the filter, the conservative-form DG
 Burgers step and the finite-volume reference solver, byte-identical
 CSVs from repeated linear studies, and CSV rows that format every double
 as the f-string ``{v:.17g}`` does.
@@ -25,11 +26,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dgfilter.equations import ProblemSpec, make_rhs
+from dgfilter.equations import ProblemSpec, linear_operator, make_rhs
 from dgfilter.experiments import ExperimentRecord, run_convergence, run_varspeed, write_csv
 from dgfilter.filters import FilterSpec, auxiliary_filter, build_filter, contractivity_spectrum
 from dgfilter.fv import FvConfig, solve_fv_burgers
-from dgfilter.operators import build_operators
+from dgfilter.operators import build_operators, sbp_tolerance
 from dgfilter.timestepping import integrate
 from helpers import discrete_norm
 
@@ -101,6 +102,26 @@ def test_filter_conserves_mass_when_mode_zero_is_kept(case):
     drift = abs(float(np.sum(ops.weights * (fmat @ u))) - float(np.sum(ops.weights * u)))
     size = np.abs(ops.V) @ (np.abs(ops.Vinv) @ np.abs(u))
     assert drift <= (ops.N + 1) * EPS * float(np.sum(ops.weights * size)) + np.finfo(float).tiny
+
+
+@PROPERTY
+@given(st.integers(1, 512), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_advection_operator_has_a_semi_discrete_energy_bound(n, a, dx):
+    """W L + (W L)^T = diag(-a scale, 0, ..., 0, -a scale) with W = diag(w),
+    for a constant speed a > 0 on a domain of length dx: the SBP identity
+    W D + (W D)^T = diag(-1, 0, ..., 0, 1) plus the inflow penalty
+    -scale a / w_0 on the first node. Under zero inflow the quadrature
+    energy then only decays, the semi-discrete bound that the paper's
+    filter-stability argument takes for granted."""
+    ops = build_operators(n)
+    problem = ProblemSpec(pde="advection_variable", domain=(0.0, dx),
+                          wave_speed_fn=lambda x: np.full_like(x, a), inflow=lambda t: 0.0)
+    lmat, _ = linear_operator(problem, ops)
+    wl = ops.weights[:, None] * lmat
+    resid = wl + wl.T
+    resid[0, 0] += a * problem.scale
+    resid[-1, -1] += a * problem.scale
+    assert float(np.max(np.abs(resid))) <= a * problem.scale * sbp_tolerance(n)
 
 
 @st.composite

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from dgfilter import experiments, fv
-from dgfilter.equations import ProblemSpec, make_rhs
+from dgfilter.equations import ProblemSpec
 from dgfilter.experiments import gaussian_pulse
 from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.operators import build_operators
 from dgfilter.timestepping import (MAX_STEPS, RK3_A, RK3_B, RK3_C, FilterSchedule,
                                    check_step_budget, fixed_steps, integrate, rk3_step)
-from helpers import discrete_norm
+from helpers import discrete_norm, linear_rhs
 
 
 def decay(u, t):
@@ -228,7 +228,7 @@ class TestFilterSchedule:
 
 
 def advection_setup(n=24, g=None):
-    problem = ProblemSpec(pde="advection_constant", domain=(0.0, 1.0), wave_speed=1.0,
+    problem = ProblemSpec(pde="advection_variable", domain=(0.0, 1.0), wave_speed_fn=np.ones_like,
                           inflow=g or (lambda t: float(gaussian_pulse(0.0, t))))
     ops = build_operators(n)
     x = problem.physical_nodes(ops.nodes)
@@ -243,7 +243,7 @@ class TestIntegrate:
 
     def test_unfiltered_matches_manual_loop(self):
         problem, ops, x = advection_setup()
-        rhs = make_rhs(problem, ops)
+        rhs = linear_rhs(problem, ops)
         u0 = gaussian_pulse(x, 0.0)
         traj = integrate(u0, rhs, 0.1, dt_fn=lambda u: 0.01)
 
@@ -258,7 +258,7 @@ class TestIntegrate:
         fm = build_filter(ops, FilterSpec())
         u0 = gaussian_pulse(x, 0.25)  # pulse centered inside the domain
         traj = integrate(
-            u0, make_rhs(problem, ops), 0.5, dt_fn=lambda u: 1e-3,
+            u0, linear_rhs(problem, ops), 0.5, dt_fn=lambda u: 1e-3,
             schedule=FilterSchedule(fm.F, times=loop_step_ends(0.5, 1e-3)),
             observers={"norm": lambda t, u: discrete_norm(u, ops.weights)},
         )
@@ -270,7 +270,7 @@ class TestIntegrate:
         problem, ops, x = advection_setup(n=8)
         fm = build_filter(ops, FilterSpec(nc=2))
         traj = integrate(
-            gaussian_pulse(x, 0.0), make_rhs(problem, ops), 0.4, dt_fn=lambda u: 0.03,
+            gaussian_pulse(x, 0.0), linear_rhs(problem, ops), 0.4, dt_fn=lambda u: 0.03,
             schedule=FilterSchedule(fm.F, times=(0.1, 0.2, 0.4)),
             norm_fn=lambda u: discrete_norm(u, ops.weights),
         )
