@@ -201,11 +201,14 @@ def _check_out(path: str) -> None:
     """Fail before a study runs if its CSV cannot be created."""
     if os.path.isdir(path):
         raise OSError(f"cannot write {path}: it is a directory")
-    if not os.path.basename(path):  # '' or a trailing separator
+    if not (name := os.path.basename(path)):  # '' or a trailing separator
         raise OSError(f"cannot write {path!r}: it names no file")
     parent = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise OSError(f"cannot write {path}: {parent} is not a writable directory")
+    # pathconf reads -1 where the file system sets no limit
+    if hasattr(os, "pathconf") and -1 < os.pathconf(parent, "PC_NAME_MAX") < len(os.fsencode(name)):
+        raise OSError(f"cannot write {path}: its file name is longer than {parent} allows")
 
 
 def main(argv=None) -> int:

@@ -16,15 +16,14 @@ _HALF, _TWO_THIRDS, _THIRD = np.array(0.5), np.array(2.0 / 3.0), np.array(1.0 / 
 def advection_rhs(dmat, a_nodes, w, scale):
     """(L, r) with u' = L u + r g(t) for u_t + a(x) u_x = 0, inflow g at the left.
 
-    ``a_nodes`` is a at the nodes, ``a_nodes[0] >= 0``; g enters as a penalty
-    on the first node. The zeros keep the signs of the per-state form
-    -a (scale (D u)) that the study CSVs were made with: ``dmat + 0.0`` stores
-    D's diagonal -0.0 (N = 21, 29, ...) as the +0.0 of ``D @ I``, and r is
-    built from ``D @ 0``.
+    ``a_nodes`` is a at the nodes, ``a_nodes[0] >= 0``. r is the inflow penalty on the first
+    node plus signed zeros. The zeros are those of the per-state form -a (scale (D u)) of the
+    study CSVs: ``dmat + 0.0`` stores D's diagonal -0.0 (N = 21, 29, ...) as the +0.0 of D times I,
+    and ``a * -0.0`` is -a (scale (D times 0)) for non-NaN a: each row of D has a positive entry.
     """
     lmat = -a_nodes[:, None] * (scale * (dmat + 0.0))
     lmat[0, 0] -= scale * a_nodes[0] / w[0]
-    r = -a_nodes * (scale * (dmat @ np.zeros(a_nodes.size)))
+    r = a_nodes * -0.0
     r[0] += scale * a_nodes[0] / w[0]
     return lmat, r
 

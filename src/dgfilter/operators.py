@@ -86,7 +86,7 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree {n} exceeds the configured maximum {MAX_DEGREE}")
 
 
-def _lgl_newton(ns: Sequence[int], half=None) -> tuple[np.ndarray, np.ndarray, dict]:
+def _lgl_newton(ns: Sequence[int], half) -> tuple[np.ndarray, np.ndarray, dict]:
     """(x, P_n(x), segments): the n // 2 interior LGL nodes x >= 0 (roots of P_n')
     of each distinct degree n >= 2 of ``ns`` in x[segments[n]], by one Newton solve.
 
@@ -96,11 +96,10 @@ def _lgl_newton(ns: Sequence[int], half=None) -> tuple[np.ndarray, np.ndarray, d
     Newton, being sign-symmetric, need only run on x >= 0. Each pass runs one
     recurrence over all the nodes, the step at each node's own n; a degree
     stops without its step once its max|step| <= ``_NEWTON_TOL``, and P_n is
-    from that pass. An ``(max(ns) + 1) x x.size`` array ``half`` gets P_k(x)
+    from that pass. The ``(max(ns) + 1) x x.size`` array ``half`` gets P_k(x)
     in row k from the pass predicted to be the last (every n max|step| <=
-    ``_TABLE_PREDICT``), or one more recurrence. With ``half``, n >= 4 takes
-    three recurrences in all; n = 3 takes four, because its third and last
-    pass is not the predicted one.
+    ``_TABLE_PREDICT``), or from one more recurrence: n >= 4 takes three
+    recurrences in all; n = 3 takes four, as its last pass is not predicted.
     """
     if not ns:
         return np.empty(0), np.empty(0), {}
@@ -122,7 +121,7 @@ def _lgl_newton(ns: Sequence[int], half=None) -> tuple[np.ndarray, np.ndarray, d
     nodal_n1 = nodal * (nodal + 1.0)
     last = [math.inf] * len(ns)
     for _ in range(_NEWTON_MAXIT):
-        written = half is not None and all(n * s <= _TABLE_PREDICT for n, s in zip(ns, last))
+        written = all(n * s <= _TABLE_PREDICT for n, s in zip(ns, last))
         p, p_prev = _legendre_pair(segments, x, half if written else None)
         omx2 = 1.0 - x * x
         dp = nodal * (p_prev - x * p) / omx2
@@ -137,12 +136,12 @@ def _lgl_newton(ns: Sequence[int], half=None) -> tuple[np.ndarray, np.ndarray, d
         x -= step
     else:
         raise RuntimeError(f"LGL Newton iteration failed to converge for n in {ns}")
-    if half is not None and not written:
+    if not written:
         _legendre_pair(segments, x, half)
     return x, p, segments
 
 
-def _lgl_rule(n: int, x: np.ndarray, p: np.ndarray, table=None) -> tuple[np.ndarray, np.ndarray]:
+def _lgl_rule(n: int, x: np.ndarray, p: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
     """Degree-n nodes, weights and table mirrored from :func:`_lgl_newton`'s x >= 0 and P_n(x)."""
     nodes = np.empty(n + 1)
     nodes[n] = 1.0
@@ -153,20 +152,19 @@ def _lgl_rule(n: int, x: np.ndarray, p: np.ndarray, table=None) -> tuple[np.ndar
     # mirror the x >= 0 half: P_k(-x) = (-1)^k P_k(x)
     nodes[:h] = -nodes[n:n - h:-1]
     weights[:h] = weights[n:n - h:-1]
-    if table is not None:
-        table[:, n] = 1.0
-        table[:, :h] = table[:, n:n - h:-1]
-        table[1::2, :h] *= -1.0
+    table[:, n] = 1.0
+    table[:, :h] = table[:, n:n - h:-1]
+    table[1::2, :h] *= -1.0
     return nodes, weights
 
 
 def lgl_nodes_weights(n: int, table=None) -> tuple[np.ndarray, np.ndarray]:
-    """LGL nodes and weights (exact to degree 2n - 1) for degree ``n`` >= 1, by the
-    one-degree :func:`_lgl_newton`; an ``(n + 1) x (n + 1)`` ``table`` gets
-    P_k(nodes_j) in row k, bit for bit the table :func:`vandermonde` evaluates."""
+    """LGL nodes and weights (exact to degree 2n - 1) for degree ``n`` >= 1, by the one-degree
+    :func:`_lgl_newton`, which fills an ``(n + 1) x (n + 1)`` table, the caller's ``table`` or
+    its own, with P_k(nodes_j) in row k, bit for bit the table :func:`vandermonde` evaluates."""
     _check_degree(n)
-    half = None if table is None else table[:, (n + 1) // 2:n]
-    x, p, _ = _lgl_newton([n] if n >= 2 else [], half)
+    table = np.empty((n + 1, n + 1)) if table is None else table
+    x, p, _ = _lgl_newton([n] if n >= 2 else [], table[:, (n + 1) // 2:n])
     return _lgl_rule(n, x, p, table)
 
 

@@ -177,6 +177,9 @@ class TestExitCodes:
         pytest.param(["fv-reference", "--cells", "2000", "--out", "{tmp}"],
                      id="out-is-directory"),
         pytest.param(["burgers", "--variant", "skew_filtered", "--out", ""], id="out-empty"),
+        # a file name longer than the directory allows (255 bytes on most file systems)
+        pytest.param(["fv-reference", "--cells", "100", "--out", "{tmp}/" + "a" * 300 + ".csv"],
+                     id="out-name-too-long"),
         pytest.param(["burgers", "--variant", "skew_filtered", "--out", "{tmp}/missing_dir/"],
                      id="out-missing-dir-trailing-separator"),
         pytest.param(["burgers", "--variant", "skew_filtered", "--out", "{tmp}/existing_file/"],

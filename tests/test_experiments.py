@@ -237,6 +237,21 @@ def test_batched_rhs_matrix_matches_the_unit_vector_probe(kind, n):
             assert (r * g).tobytes() == reference(np.zeros(n + 1), g).tobytes()
 
 
+@pytest.mark.parametrize("first", range(1, operators.MAX_DEGREE + 1, 64))
+def test_inflow_vector_holds_the_zeros_of_minus_a(first):
+    # r[1:] is a * -0.0, the zeros of -a (scale (D @ 0)) sign for sign if every
+    # row of D has a positive entry: each entry of D @ 0 then sums at least
+    # one +0.0, and is +0.0 in any summation order, with or without FMA
+    problems = [linear_case(kind, [])[0] for kind in ("constant", "variable")]
+    for ops in operators.build_operator_sets(range(first, first + 64)):
+        assert np.all(np.max(ops.D, axis=1) > 0.0), f"degree {ops.N}"
+        for problem in problems:
+            a_nodes = problem.wave_speed_fn(problem.physical_nodes(ops.nodes))
+            _, r = linear_operator(problem, ops)
+            assert not np.any(r[1:])
+            assert np.array_equal(np.signbit(r[1:]), np.signbit(-a_nodes[1:])), f"degree {ops.N}"
+
+
 class TestLinearPropagator:
     """The affine step propagator of the linear studies against integrate."""
 

@@ -88,7 +88,8 @@ class TestNodesWeights:
     @pytest.mark.parametrize("n", SWEEP_NS)
     def test_at_most_three_legendre_passes(self, n, monkeypatch):
         """The asymptotic seed converges in three Newton passes; the last one also
-        gives the weights and the table behind V, so a build runs three recurrences."""
+        gives the weights and the table behind V, so a build runs three recurrences,
+        and so does lgl_nodes_weights alone, which fills a table of its own."""
         calls = []
         pair = operators._legendre_pair
 
@@ -98,7 +99,34 @@ class TestNodesWeights:
 
         monkeypatch.setattr(operators, "_legendre_pair", counted)
         build_operators(n)
-        assert (len(calls) == 3) if n >= 4 else (len(calls) <= 4)
+        built = len(calls)
+        lgl_nodes_weights(n)
+        for count in (built, len(calls) - built):
+            assert (count == 3) if n >= 4 else (count <= 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 397, 512])
+    def test_fills_its_own_table_when_none_is_passed(self, n, monkeypatch):
+        """With no table passed, lgl_nodes_weights fills one of its own: the bytes of
+        vandermonde's own recurrence, with the rule it returns for the caller's table."""
+        tables = []
+        rule = operators._lgl_rule
+
+        def kept(n, x, p, table):
+            tables.append(table)
+            return rule(n, x, p, table)
+
+        monkeypatch.setattr(operators, "_lgl_rule", kept)
+        nodes, weights = lgl_nodes_weights(n)
+        given_table = np.empty((n + 1, n + 1))
+        given = lgl_nodes_weights(n, given_table)
+        assert tables[1] is given_table and tables[0] is not given_table
+        assert nodes.tobytes() == given[0].tobytes()
+        assert weights.tobytes() == given[1].tobytes()
+        reference = np.empty((n + 1, n + 1))
+        operators._legendre_pair({n: slice(None)}, nodes, reference)
+        assert tables[0].tobytes() == reference.tobytes() == given_table.tobytes()
+        own = vandermonde(nodes, weights, tables[0])
+        assert [a.tobytes() for a in own] == [a.tobytes() for a in vandermonde(nodes, weights)]
 
     @pytest.mark.parametrize("n", [1, 2, 64, 512])
     def test_recurrence_table_rows_are_the_pair(self, n):
