@@ -17,15 +17,14 @@ Exit codes: 0 success, 1 tolerance failure, 2 usage error. A parameter
 that the package rejects (``ValueError``) or an output path that cannot be
 written (``OSError``) is a usage error: one line on stderr, no traceback.
 
-At its first call :func:`main` sets glibc's allocator to keep freed memory
-(:func:`keep_freed_memory`), so a command's N^2 arrays are not handed back
-to the kernel and faulted in again by the next one.
+A command that builds operators has glibc keep freed memory from its
+first build on (``operators.keep_freed_memory``), so the N^2 arrays of one
+command are not handed back to the kernel and faulted in again by the next.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import os
 import sys
@@ -36,38 +35,7 @@ import numpy as np
 from . import experiments
 from .filters import FilterSpec, verify_filter
 from .fv import FvConfig
-from .operators import (MAX_DEGREE, build_operators, gram_diagonal, sbp_residual,
-                        sbp_tolerance)
-
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-# twice the largest N^2 array, (MAX_DEGREE + 1)^2 doubles: every such array
-# comes from the heap, not from an mmap of its own that its free unmaps
-_MMAP_THRESHOLD = 2 * (MAX_DEGREE + 1) ** 2 * np.dtype(float).itemsize
-# the heap's free top is kept up to this size, well above a command's peak
-# (about 18 MB of heap after a sweep of checks up to N = 512)
-_TRIM_THRESHOLD = 16 * _MMAP_THRESHOLD
-
-
-@functools.cache
-def keep_freed_memory() -> bool:
-    """Have glibc keep freed memory in the process, once; True if it took both settings.
-
-    By default glibc serves a large N^2 array from an mmap of its own, or
-    trims the heap's free top, and the next command faults the same pages in
-    again: about 47 000 minor faults in a sweep of 166 ``ops check`` and
-    ``filter verify`` commands up to N = 512. No arithmetic changes, so every
-    output keeps its bytes. Where the C library has no ``mallopt`` (macOS,
-    Windows), nothing is set.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return False
-    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
-            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
-
+from .operators import build_operators, gram_diagonal, sbp_residual, sbp_tolerance
 
 def _parse_n_list(text: str) -> list[int]:
     """Accept 'start:stop[:step]' (stop exclusive, like range) or 'a,b,c'."""
@@ -212,7 +180,6 @@ def _check_out(path: str) -> None:
 
 
 def main(argv=None) -> int:
-    keep_freed_memory()
     args = vars(build_parser().parse_args(argv))
     opts = {k: v for k, v in args.items() if k not in ("command", "subcommand", "func")}
     out = opts.get("out")

@@ -28,8 +28,9 @@ class ProblemSpec:
     The PDE fixes the boundary treatment: advection problems impose the
     Dirichlet trace ``inflow`` = g(t) weakly at the left endpoint, Burgers
     runs couple the two element faces periodically. ``inflow`` must accept
-    an array of times and return g elementwise: the linear studies ask for
-    many stage times in one call.
+    an array of times and return g elementwise: a linear study asks for the
+    stage times of up to 4096 steps, a (steps, 3) array, in one call, and
+    for a truncated last step's times one float at a time.
     """
 
     pde: str

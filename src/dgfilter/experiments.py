@@ -128,8 +128,9 @@ def write_csv(path, records: Sequence[ExperimentRecord]) -> None:
 # ---------------------------------------------------------------------------
 
 # largest number of steps of a fixed-step linear run taken as one affine
-# map, whose inflow is asked for as one (STEP_CHUNK, 3) block; a power of
-# two, since the maps are built by doubling, each doubling an N^3 product
+# map; a power of two, since the maps are built by doubling, each doubling
+# an N^3 product. The inflow is asked for up to STEP_CHUNK**2 full steps
+# at a time: a block of at most 4096 x 3 stage times, whatever the run length
 STEP_CHUNK = 64
 
 
@@ -151,7 +152,10 @@ def _run_linear(problem: ProblemSpec, ops: OperatorSet, u0_fn, exact_fn, t_final
     full step count below ``STEP_CHUNK``, in time order; the ``STEP_CHUNK``
     map then takes every remaining chunk. A truncated last step is one
     :func:`rk3_step` of L u + r g followed by F. The inflow is asked for at
-    the same stage times, in the same order, as the step-by-step loop.
+    the same stage times, in the same order, as the step-by-step loop: in
+    one call for the stage times of up to ``STEP_CHUNK**2`` consecutive full
+    steps, out of which each chunk slices its g, and then once per stage of
+    the truncated step.
     Returns (x, final state, max-norm error against ``exact_fn(x, t_final)``).
     """
     starts, h_last = steps
@@ -168,12 +172,18 @@ def _run_linear(problem: ProblemSpec, ops: OperatorSet, u0_fn, exact_fn, t_final
     e, b = inc[:, :n1], inc[:, n1:]
     c_dt = np.multiply(RK3_C, dt)
 
-    starts = starts.copy()  # re-allocated above the operators: held below them, +0.4 MB peak RSS
     n_full = starts.size if h_last == dt else starts.size - 1
     u, done, k = u0_fn(x), 0, 1
+    g_lo, g_hi = 0, 0  # the full steps whose inflow g_block holds
     while done < n_full:
         if n_full & k or k == STEP_CHUNK:
-            g = problem.inflow(starts[done:done + k, None] + c_dt)
+            if done + k > g_hi:
+                # up to STEP_CHUNK**2 steps that end where a chunk ends: the
+                # steps after the block are whole chunks
+                after = max(n_full - done - STEP_CHUNK * STEP_CHUNK, 0)
+                g_lo, g_hi = done, n_full - -(-after // STEP_CHUNK) * STEP_CHUNK
+                g_block = problem.inflow(starts[g_lo:g_hi, None] + c_dt)
+            g = g_block[done - g_lo:done + k - g_lo]
             u = u + (e @ u + b @ g.ravel())
             done += k
         if k < STEP_CHUNK and done < n_full:

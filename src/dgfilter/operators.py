@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,6 +23,38 @@ _FACTOR_BLOCK = 64
 _TABLE_PREDICT = 3e-8
 # k as 0-d float arrays, the recurrence's fastest scalar operands
 _K = [np.array(float(k)) for k in range(MAX_DEGREE + 1)]
+# doubles in the largest N^2 array; also the cap on one solve's shared table
+_MAX_SQUARE = (MAX_DEGREE + 1) ** 2
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# twice the largest N^2 array: every such array comes from the heap, not
+# from an mmap of its own that its free unmaps
+_MMAP_THRESHOLD = 2 * _MAX_SQUARE * np.dtype(float).itemsize
+# the heap's free top is kept up to this size, well above a process's peak
+# (about 18 MB of heap after a sweep of checks up to N = 512)
+_TRIM_THRESHOLD = 16 * _MMAP_THRESHOLD
+
+
+@functools.cache
+def keep_freed_memory() -> bool:
+    """Have glibc keep freed memory in the process, once; True if it took both settings.
+
+    :func:`build_operators` and :func:`build_operator_sets` call it, so every
+    process that builds operators gets it. By default glibc serves a large
+    N^2 array from an mmap of its own, or trims the heap's free top, and the
+    next build or run faults the same pages in again: about 47 000 minor
+    faults in a sweep of 166 ``ops check`` and ``filter verify`` commands up
+    to N = 512. No arithmetic changes, so every output keeps its bytes.
+    Where the C library has no ``mallopt`` (macOS, Windows), nothing is set.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
 
 
 @dataclass(frozen=True)
@@ -262,24 +296,54 @@ def _assemble(n: int, nodes, weights, table, check: bool) -> OperatorSet:
 def build_operators(n: int, check: bool = True) -> OperatorSet:
     """The operator set for degree ``n``; three recurrences for n >= 4, the last
     Newton pass of :func:`lgl_nodes_weights` filling V's table. With ``check``
-    the SBP residual is held to :func:`sbp_tolerance`. The degree is checked
-    before the ``(n + 1) x (n + 1)`` table is allocated."""
+    the SBP residual is held to :func:`sbp_tolerance`. The degree is checked,
+    and :func:`keep_freed_memory` called, before the ``(n + 1) x (n + 1)``
+    table is allocated."""
     _check_degree(n)
+    keep_freed_memory()
     table = np.empty((n + 1, n + 1))
     nodes, weights = lgl_nodes_weights(n, table)
     return _assemble(n, nodes, weights, table, check)
 
 
+def _solve_groups(degrees: Sequence[int]) -> list[list[int]]:
+    """The ascending ``degrees`` split into runs whose shared :func:`_lgl_newton`
+    table, (max + 1) x sum(n // 2), holds at most ``_MAX_SQUARE`` doubles."""
+    groups, cols = [], 0
+    for n in degrees:
+        if not groups or (n + 1) * (cols + n // 2) > _MAX_SQUARE:
+            groups.append([])
+            cols = 0
+        groups[-1].append(n)
+        cols += n // 2
+    return groups
+
+
 def build_operator_sets(ns: Sequence[int]) -> Iterator[OperatorSet]:
-    """Yield ``build_operators(n)`` for each n of ``ns`` in order, bit for bit, from
-    one :func:`_lgl_newton` solve at the first set (three recurrences to max(ns) for
-    degrees >= 4), then D, V, Vinv and the SBP check one set at a time."""
+    """Yield ``build_operators(n)`` for each n of ``ns`` in order, bit for bit.
+
+    The distinct degrees >= 2, ascending, are split by :func:`_solve_groups`,
+    and each group's nodes come from one :func:`_lgl_newton` solve (three
+    recurrences to its largest degree for degrees >= 4), run when the first
+    of its degrees is due; the recurrence is elementwise, so a degree's bits
+    do not depend on its group. D, V, Vinv and the SBP check follow one set
+    at a time. Only the current group's table is held: degrees given out of
+    order may solve a group again.
+    """
     for n in ns:
         _check_degree(n)
-    degrees = sorted({n for n in ns if n >= 2})
-    half = np.empty((max(ns, default=0) + 1, sum(n // 2 for n in degrees)))
-    x, p, segments = _lgl_newton(degrees, half)
+    keep_freed_memory()
+    groups = _solve_groups(sorted({n for n in ns if n >= 2}))
+    group_of = {n: g for g, group in enumerate(groups) for n in group}
+    # degree 1 has no interior node: it takes empty slices of any solve
+    solved, x, p, segments, half = None, np.empty(0), np.empty(0), {}, np.empty((2, 0))
     for n in ns:
+        g = group_of.get(n, solved)
+        if g != solved:
+            group = groups[g]
+            half = np.empty((group[-1] + 1, sum(m // 2 for m in group)))
+            x, p, segments = _lgl_newton(group, half)
+            solved = g
         s = segments.get(n, slice(0, 0))
         table = np.empty((n + 1, n + 1))
         table[:, (n + 1) // 2:n] = half[:n + 1, s]

@@ -78,15 +78,18 @@ def rk3_affine_step(lmat: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
     current stage, so each column is the step's response to one unit of
     input. Kept apart from the identity, the entries of S - I round
     relative to their own size; in S itself, an error of eps in an entry
-    acts like an error of eps / dt in L.
+    acts like an error of eps / dt in L. Stage 1, at W = 0, starts from
+    zeros in place of L W: the product's +0.0 entries bit for bit, and
+    adding L to them stores each -0.0 of L as +0.0 alike.
     """
     n = lmat.shape[0]
     stage_col = iter(range(n, n + len(RK3_C)))
 
     def rhs(w, t):
-        out = lmat @ w
+        col = next(stage_col)
+        out = np.zeros_like(w) if col == n else lmat @ w
         out[:, :n] += lmat
-        out[:, next(stage_col)] += r
+        out[:, col] += r
         return out
 
     return rk3_step(np.zeros((n, n + len(RK3_C))), 0.0, dt, rhs)

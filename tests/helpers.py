@@ -1,8 +1,9 @@
 """What only the tests use: the quadrature norm, a shock locator, the
 trapezoid weights that the negative controls put in place of the LGL rule,
 the exact entropy solution of the Burgers study, the right-hand side
-L u + r g of an advection problem, and two per-state advection formulas
-that the assembled (L, r) is checked against.
+L u + r g of an advection problem, two per-state advection formulas
+that the assembled (L, r) is checked against, and the RK3 step map with
+its stage-1 product by zero.
 
 Test modules import this file as ``helpers``: pytest's default import mode
 puts ``tests/`` on ``sys.path``, and so does running a test file as a script.
@@ -11,6 +12,7 @@ puts ``tests/`` on ``sys.path``, and so does running a test file as a script.
 import numpy as np
 
 from dgfilter.equations import linear_operator
+from dgfilter.timestepping import RK3_C, rk3_step
 
 
 def discrete_norm(u: np.ndarray, w: np.ndarray) -> float:
@@ -88,3 +90,18 @@ def varspeed_advection_rhs(u, dmat, a_nodes, w, scale, a_left, g_in):
     dudt = -a_nodes * (scale * (dmat @ u))
     dudt[0] -= scale * a_left * (u[0] - g_in) / w[0]
     return dudt
+
+
+def zero_product_affine_step(lmat, r, dt):
+    """``rk3_affine_step`` with stage 1 multiplying L by the zero start, as
+    every stage does: the increment matrix [S - I | Q] of one RK3 step."""
+    n = lmat.shape[0]
+    stage_col = iter(range(n, n + len(RK3_C)))
+
+    def rhs(w, t):
+        out = lmat @ w
+        out[:, :n] += lmat
+        out[:, next(stage_col)] += r
+        return out
+
+    return rk3_step(np.zeros((n, n + len(RK3_C))), 0.0, dt, rhs)

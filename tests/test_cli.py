@@ -1,11 +1,7 @@
 """Tests for the command-line interface: exit codes and CSV output."""
 
-import platform
-import resource
-import types
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from dgfilter import cli, experiments, kernels, operators
@@ -291,48 +287,6 @@ class TestExitCodes:
         assert printed["SBP residual"] <= operators.sbp_tolerance(1)
         assert printed["V Vinv - I max"] <= 1e-11
         assert printed["weight-sum error"] == pytest.approx(2.0 * (factor - 1.0), rel=1e-2)
-
-
-def _no_c_library(name):
-    raise OSError("no C library")
-
-
-class TestAllocatorPolicy:
-    """``main`` has glibc keep freed memory, and runs the same where it cannot."""
-
-    @pytest.fixture
-    def policy_reset(self):
-        yield
-        cli.keep_freed_memory.cache_clear()  # the next main() sets the policy again
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
-    def test_a_freed_array_comes_back_without_page_faults(self):
-        # the largest N^2 array; under glibc's default trimming its second
-        # allocation faults in about 500 pages again
-        assert main(["ops", "check", "--n", "8"]) == 0
-        assert cli.keep_freed_memory()
-        size = (operators.MAX_DEGREE + 1) ** 2
-        freed = np.ones(size)
-        del freed
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        again = np.ones(size)
-        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before == 0
-        assert again[-1] == 1.0
-
-    @pytest.mark.parametrize("cdll", [
-        pytest.param(lambda name: types.SimpleNamespace(), id="no-mallopt"),
-        pytest.param(_no_c_library, id="no-c-library"),
-    ])
-    def test_without_mallopt_main_prints_the_same(self, cdll, capsys, monkeypatch,
-                                                  policy_reset):
-        argv = ["filter", "verify", "--n", "24"]
-        assert main(argv) == 0
-        expected = capsys.readouterr().out
-        cli.keep_freed_memory.cache_clear()
-        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-        assert main(argv) == 0
-        assert not cli.keep_freed_memory()
-        assert capsys.readouterr().out == expected
 
 
 class TestCsvOutputs:

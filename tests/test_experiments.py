@@ -1,5 +1,7 @@
 """Tests for the experiment drivers, diagnostics and CSV emission."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,10 @@ from dgfilter.experiments import (
 from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.fv import FvConfig
 from dgfilter.operators import build_operators
-from dgfilter.timestepping import MAX_STEPS, FilterSchedule, fixed_steps, integrate, rk3_step
+from dgfilter.timestepping import (MAX_STEPS, RK3_C, FilterSchedule, fixed_steps, integrate,
+                                   rk3_affine_step, rk3_step)
 from helpers import (conservative_advection_rhs, linear_rhs, shock_position,
-                     varspeed_advection_rhs)
+                     varspeed_advection_rhs, zero_product_affine_step)
 
 
 class TestProblemData:
@@ -237,6 +240,17 @@ def test_batched_rhs_matrix_matches_the_unit_vector_probe(kind, n):
             assert (r * g).tobytes() == reference(np.zeros(n + 1), g).tobytes()
 
 
+@pytest.mark.parametrize("kind", ["constant", "variable"])
+@pytest.mark.parametrize("n", [*range(1, 65), 128, 256, 512])
+def test_affine_step_matches_the_zero_product_step(kind, n):
+    # stage 1 starts from zeros, not L @ 0: the same bits, and L's -0.0 become +0.0 alike
+    problem, _, _, _ = linear_case(kind, [])
+    lmat, r = linear_operator(problem, build_operators(n))
+    for dt in (4e-4, 5e-4, 1e-2):
+        expected = zero_product_affine_step(lmat, r, dt)
+        assert rk3_affine_step(lmat, r, dt).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("first", range(1, operators.MAX_DEGREE + 1, 64))
 def test_inflow_vector_holds_the_zeros_of_minus_a(first):
     # r[1:] is a * -0.0, the zeros of -a (scale (D @ 0)) sign for sign if every
@@ -311,6 +325,54 @@ class TestLinearPropagator:
     def test_step_chunk_is_a_power_of_two(self):
         # the maps are built by doubling
         assert STEP_CHUNK > 1 and STEP_CHUNK & (STEP_CHUNK - 1) == 0
+
+    @pytest.mark.parametrize("study", ["convergence", "varspeed"])
+    def test_inflow_is_asked_in_blocks_at_the_step_loop_times(self, study, monkeypatch):
+        calls, runs = [], []
+        run_linear = experiments._run_linear
+
+        def recorded(problem, ops, u0_fn, exact_fn, t_final, dt, steps, filtered):
+            def inflow(t):
+                calls.append(np.ravel(t))
+                return problem.inflow(t)
+
+            runs.append((dt, steps))
+            return run_linear(replace(problem, inflow=inflow), ops, u0_fn, exact_fn, t_final,
+                              dt, steps, filtered)
+
+        monkeypatch.setattr(experiments, "_run_linear", recorded)
+        if study == "convergence":
+            run_convergence([7])
+        else:
+            run_varspeed()
+        [(dt, (starts, h_last))] = runs
+        assert h_last < dt  # the last step is truncated
+        n_full = starts.size - 1
+        full = (starts[:n_full, None] + np.multiply(RK3_C, dt)).ravel()
+        last = [float(starts[-1]) + c * h_last for c in RK3_C]
+        assert np.concatenate(calls).tobytes() == np.concatenate([full, last]).tobytes()
+        # blocks of up to STEP_CHUNK**2 full steps, then the truncated step's stages
+        assert all(c.size <= len(RK3_C) * STEP_CHUNK**2 for c in calls[:-3])
+        assert [c.size for c in calls[-3:]] == [1, 1, 1]
+        assert len(calls) == 3 + (1 if study == "convergence" else 2)
+
+    @pytest.mark.parametrize("t_final, dt", [
+        (16.0, 1 / 512),             # 8192 steps: two whole blocks
+        (8000.5 / 512, 1 / 512),     # 8000 steps (no residue) and a truncated step
+        (12345.5 / 1024, 1 / 1024),  # 12345 steps (residue 57) and a truncated step
+        (100 / 1024, 1 / 1024),      # 100 steps in one block
+    ])
+    def test_inflow_blocks_hold_each_step_once(self, t_final, dt):
+        calls = []
+        problem, n, u0_fn, exact_fn = linear_case("constant", calls)
+        steps = fixed_steps(t_final, dt)
+        _run_linear(problem, build_operators(n), u0_fn, exact_fn, t_final, dt, steps, False)
+        starts, h_last = steps
+        n_full = starts.size if h_last == dt else starts.size - 1
+        expected = (starts[:n_full, None] + np.multiply(RK3_C, dt)).ravel().tolist()
+        if n_full < starts.size:
+            expected += [float(starts[-1]) + c * h_last for c in RK3_C]
+        assert calls == expected
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="long double is no wider than double here")

@@ -1,5 +1,10 @@
 """Tests for the LGL collocation operators: nodes, weights, D, V, inner products."""
 
+import hashlib
+import platform
+import resource
+import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgfilter import operators
+from dgfilter.cli import main
+from dgfilter.experiments import run_varspeed
 from dgfilter.operators import (
+    MAX_DEGREE,
     _barycentric_weights,
     build_operator_sets,
     build_operators,
@@ -188,7 +196,11 @@ def _set_bytes(ops):
 class TestOperatorSets:
     """One Newton solve for a list of degrees gives each the bits it gets alone."""
 
-    @pytest.mark.parametrize("ns", [[1, 2, 3], [9, 7, 7, 63], [512, 7, 256]])
+    @pytest.mark.parametrize("ns", [
+        [1, 2, 3], [9, 7, 7, 63], [512, 7, 256],
+        # three solve groups, each due twice
+        [512, 1, 300, 511, 2, 400, 509, 512, 1],
+    ])
     def test_match_per_degree_builds(self, ns):
         sets = list(build_operator_sets(ns))
         assert [ops.N for ops in sets] == ns
@@ -205,6 +217,82 @@ class TestOperatorSets:
     def test_degrees_are_checked_before_any_set(self, ns):
         with pytest.raises(ValueError, match="degree"):
             next(build_operator_sets(ns))
+
+    def test_no_shared_table_exceeds_the_largest_square(self):
+        degrees = list(range(2, MAX_DEGREE + 1))
+        groups = operators._solve_groups(degrees)
+        assert [n for group in groups for n in group] == degrees
+        for group in groups:
+            assert (group[-1] + 1) * sum(n // 2 for n in group) <= (MAX_DEGREE + 1) ** 2
+        # the convergence sweep stays one solve
+        sweep = list(range(7, 64, 2))
+        assert operators._solve_groups(sweep) == [sweep]
+        assert operators._solve_groups([2, 300, 400, 509, 511, 512]) == [
+            [2, 300, 400], [509, 511], [512]]
+
+    def test_every_degree_in_bounded_memory(self):
+        # the first and last degree of each group, and the ends of the range
+        groups = operators._solve_groups(range(2, MAX_DEGREE + 1))
+        sample = {1, *(group[0] for group in groups), *(group[-1] for group in groups)}
+
+        def digest(ops):
+            return hashlib.sha256(b"".join(_set_bytes(ops))).hexdigest()
+
+        digests = {}
+        tracemalloc.start()
+        try:
+            for ops in build_operator_sets(range(1, MAX_DEGREE + 1)):
+                if ops.N in sample:
+                    digests[ops.N] = digest(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert digests == {n: digest(build_operators(n)) for n in sample}
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+class TestAllocatorPolicy:
+    """The first operator build has glibc keep freed memory; without ``mallopt``
+    everything runs the same."""
+
+    @pytest.fixture
+    def policy_reset(self):
+        yield
+        operators.keep_freed_memory.cache_clear()  # the next build sets the policy again
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_a_freed_array_comes_back_without_page_faults(self):
+        # the largest N^2 array; under glibc's default trimming its second
+        # allocation faults in about 500 pages again
+        build_operators(8)
+        assert operators.keep_freed_memory()
+        size = (MAX_DEGREE + 1) ** 2
+        freed = np.ones(size)
+        del freed
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        again = np.ones(size)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before == 0
+        assert again[-1] == 1.0
+
+    @pytest.mark.parametrize("cdll", [
+        pytest.param(lambda name: types.SimpleNamespace(), id="no-mallopt"),
+        pytest.param(_no_c_library, id="no-c-library"),
+    ])
+    def test_without_mallopt_outputs_keep_their_bytes(self, cdll, capsys, monkeypatch,
+                                                      policy_reset):
+        argv = ["filter", "verify", "--n", "24"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out, run_varspeed(n=16, dt=0.005).u_final.tobytes()
+        operators.keep_freed_memory.cache_clear()
+        monkeypatch.setattr(operators.ctypes, "CDLL", cdll)
+        assert main(argv) == 0
+        assert not operators.keep_freed_memory()
+        assert (capsys.readouterr().out,
+                run_varspeed(n=16, dt=0.005).u_final.tobytes()) == expected
 
 
 class TestLegendreNormalized:
