@@ -5,7 +5,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -19,8 +18,6 @@ _NEWTON_TOL = 1e-15
 _NEWTON_MAXIT = 100
 # degrees per outer product of (2k + 1) x factors in the Legendre recurrence
 _FACTOR_BLOCK = 64
-# n * max|step| bound under which the next Newton pass is expected to be the last
-_TABLE_PREDICT = 3e-8
 # k as 0-d float arrays, the recurrence's fastest scalar operands
 _K = [np.array(float(k)) for k in range(MAX_DEGREE + 1)]
 # doubles in the largest N^2 array; also the cap on one solve's shared table
@@ -61,7 +58,8 @@ def keep_freed_memory() -> bool:
 class OperatorSet:
     """The collocation operators one run needs, for one polynomial degree N.
 
-    Treated as read-only after construction; safe to share across threads.
+    Read-only after construction (every array is unwriteable); safe to share
+    across threads.
 
     Attributes
     ----------
@@ -81,20 +79,18 @@ class OperatorSet:
     Vinv: np.ndarray
 
 
-def _legendre_pair(segments: dict, x: np.ndarray, table=None) -> tuple[np.ndarray, np.ndarray]:
-    """(P_n(x), P_{n-1}(x)) on x[s] for each ``n: s`` of ``segments``, n >= 1, from one
-    three-term recurrence to m = max(segments): elementwise, so bit for bit as alone.
+def _legendre_table(x: np.ndarray, table) -> None:
+    """P_k(x) into row k of ``table``, k = 0..m, m = len(table) - 1 >= 1, by the
+    three-term recurrence; elementwise, so each x gets the bits it gets alone.
 
     Each step is ((2k + 1) x P_k - k P_{k-1}) / (k + 1) in four numpy calls,
     with k and k + 1 as 0-d arrays (faster ufunc operands than ints, rounded
     alike) and the (2k + 1) x factors from one outer product per
-    ``_FACTOR_BLOCK`` degrees. The steps run in three rotating buffers, or in
-    the rows of an ``(m + 1) x x.size`` ``table``, whose row k gets P_k(x).
-    Every operation is sign-symmetric: P_k(-x) = (-1)^k P_k(x) bit for bit.
+    ``_FACTOR_BLOCK`` degrees. Every operation is sign-symmetric:
+    P_k(-x) = (-1)^k P_k(x) bit for bit.
     """
-    m = max(segments)
-    pair = np.array([x, np.ones_like(x)])  # (P_1, P_0), the pair of degree 1
-    rows = iter(table) if table is not None else itertools.cycle(np.empty((3, x.size)))
+    m = len(table) - 1
+    rows = iter(table)
     p_prev, p = next(rows), next(rows)
     p_prev[...], p[...] = 1.0, x
     scaled = np.empty_like(p)
@@ -107,10 +103,6 @@ def _legendre_pair(segments: dict, x: np.ndarray, table=None) -> tuple[np.ndarra
             nxt -= scaled
             nxt /= _K[k + 1]
             p_prev, p = p, nxt
-            s = segments.get(k + 1)
-            if s is not None:
-                pair[0, s], pair[1, s] = p[s], p_prev[s]
-    return pair[0], pair[1]
 
 
 def _check_degree(n: int) -> None:
@@ -127,13 +119,13 @@ def _lgl_newton(ns: Sequence[int], half) -> tuple[np.ndarray, np.ndarray, dict]:
     The seed is the Gatteschi-Pittaluga asymptotic x_k = cos(phi_k - 3 /
     (8 rho^2 tan phi_k)), phi_k = (k + 1/4) pi / rho, rho = n + 1/2, within
     1e-4 of the roots at n = 3 and 3e-9 at n = 512, symmetrized so that
-    Newton, being sign-symmetric, need only run on x >= 0. Each pass runs one
-    recurrence over all the nodes, the step at each node's own n; a degree
-    stops without its step once its max|step| <= ``_NEWTON_TOL``, and P_n is
-    from that pass. The ``(max(ns) + 1) x x.size`` array ``half`` gets P_k(x)
-    in row k from the pass predicted to be the last (every n max|step| <=
-    ``_TABLE_PREDICT``), or from one more recurrence: n >= 4 takes three
-    recurrences in all; n = 3 takes four, as its last pass is not predicted.
+    Newton, being sign-symmetric, need only run on x >= 0. Each pass runs
+    :func:`_legendre_table` over all the nodes into the ``(max(ns) + 1) x
+    x.size`` array ``half`` and reads each node's P_n and P_{n-1} from it, at
+    the node's own n; a degree stops without its step once its max|step| <=
+    ``_NEWTON_TOL``. The last pass, where every degree has stopped, leaves P_k
+    at the final nodes in row k of ``half``, and P_n is from that pass: n = 2
+    takes one recurrence (its seed, 0, is the root), n >= 3 three.
     """
     if not ns:
         return np.empty(0), np.empty(0), {}
@@ -149,20 +141,21 @@ def _lgl_newton(ns: Sequence[int], half) -> tuple[np.ndarray, np.ndarray, dict]:
     cuts = list(itertools.accumulate(sizes, initial=0))
     segments = {n: slice(lo, hi) for n, lo, hi in zip(ns, cuts, cuts[1:])}
     x = np.concatenate(seeds)
+    # each node's own degree, and its column of half
+    deg, cols = np.repeat(ns, sizes), np.arange(x.size)
     # dP_n and d2P_n from the standard identities, at each node's own n (and
     # the exact n (n + 1)); x is interior so the 1 - x^2 factors are safe
-    nodal = np.array(ns, dtype=float).repeat(sizes)
+    nodal = deg.astype(float)
     nodal_n1 = nodal * (nodal + 1.0)
-    last = [math.inf] * len(ns)
     for _ in range(_NEWTON_MAXIT):
-        written = all(n * s <= _TABLE_PREDICT for n, s in zip(ns, last))
-        p, p_prev = _legendre_pair(segments, x, half if written else None)
+        _legendre_table(x, half)
+        p, p_prev = half[deg, cols], half[deg - 1, cols]
         omx2 = 1.0 - x * x
         dp = nodal * (p_prev - x * p) / omx2
         d2p = (2.0 * x * dp - nodal_n1 * p) / omx2
         step = dp / d2p
-        last = np.maximum.reduceat(np.abs(step), cuts[:-1]).tolist()
-        moving = [not s <= _NEWTON_TOL for s in last]
+        worst = np.maximum.reduceat(np.abs(step), cuts[:-1]).tolist()
+        moving = [not s <= _NEWTON_TOL for s in worst]
         if not any(moving):
             break
         if not all(moving):
@@ -170,8 +163,6 @@ def _lgl_newton(ns: Sequence[int], half) -> tuple[np.ndarray, np.ndarray, dict]:
         x -= step
     else:
         raise RuntimeError(f"LGL Newton iteration failed to converge for n in {ns}")
-    if not written:
-        _legendre_pair(segments, x, half)
     return x, p, segments
 
 
@@ -194,8 +185,9 @@ def _lgl_rule(n: int, x: np.ndarray, p: np.ndarray, table) -> tuple[np.ndarray, 
 
 def lgl_nodes_weights(n: int, table=None) -> tuple[np.ndarray, np.ndarray]:
     """LGL nodes and weights (exact to degree 2n - 1) for degree ``n`` >= 1, by the one-degree
-    :func:`_lgl_newton`, which fills an ``(n + 1) x (n + 1)`` table, the caller's ``table`` or
-    its own, with P_k(nodes_j) in row k, bit for bit the table :func:`vandermonde` evaluates."""
+    :func:`_lgl_newton` (0, 1 and 3 recurrences at n = 1, 2 and >= 3), whose last pass fills an
+    ``(n + 1) x (n + 1)`` table, the caller's ``table`` or its own, with P_k(nodes_j) in row k,
+    bit for bit the table :func:`vandermonde` evaluates."""
     _check_degree(n)
     table = np.empty((n + 1, n + 1)) if table is None else table
     x, p, _ = _lgl_newton([n] if n >= 2 else [], table[:, (n + 1) // 2:n])
@@ -247,16 +239,17 @@ def vandermonde(nodes: np.ndarray, weights: np.ndarray,
     """Vandermonde matrix of the normalized Legendre basis and its inverse.
 
     V maps modal coefficients to nodal values: the table P_k(nodes_j) of
-    :func:`_legendre_pair`, normalized and transposed to C order in one pass.
+    :func:`_legendre_table`, normalized and transposed to C order in one pass.
     A ``table`` that :func:`lgl_nodes_weights` has filled for these nodes is
-    used as it is, with no recurrence of its own. Needs the LGL rule, whose
+    used as it is; with none, its own recurrence at the nodes is the
+    independent reference for that table. Needs the LGL rule, whose
     Gram matrix V^T M V is K = diag(:func:`gram_diagonal`), M = diag(weights), so
     Vinv = K^-1 V^T M with no linear solve; ``ops check`` measures V Vinv - I.
     """
     n = len(nodes) - 1
     if table is None:
         table = np.empty((n + 1, n + 1))
-        _legendre_pair({n: slice(None)}, np.asarray(nodes, dtype=float), table)
+        _legendre_table(np.asarray(nodes, dtype=float), table)
     vmat = np.multiply(table.T, np.sqrt(np.arange(n + 1) + 0.5), order="C")
     vinv = vmat.T * weights
     vinv /= gram_diagonal(n)[:, None]
@@ -282,9 +275,11 @@ def sbp_residual(ops: OperatorSet) -> float:
 
 
 def _assemble(n: int, nodes, weights, table, check: bool) -> OperatorSet:
-    """The operator set of an LGL rule and its filled Legendre ``table``."""
+    """The read-only operator set of an LGL rule and its filled Legendre ``table``."""
     dmat = derivative_matrix(nodes, weights)
     vmat, vinv = vandermonde(nodes, weights, table)
+    for a in (nodes, weights, dmat, vmat, vinv):
+        a.setflags(write=False)
     ops = OperatorSet(N=n, nodes=nodes, weights=weights, D=dmat, V=vmat, Vinv=vinv)
     if check:
         resid = sbp_residual(ops)
@@ -294,11 +289,11 @@ def _assemble(n: int, nodes, weights, table, check: bool) -> OperatorSet:
 
 
 def build_operators(n: int, check: bool = True) -> OperatorSet:
-    """The operator set for degree ``n``; three recurrences for n >= 4, the last
-    Newton pass of :func:`lgl_nodes_weights` filling V's table. With ``check``
-    the SBP residual is held to :func:`sbp_tolerance`. The degree is checked,
-    and :func:`keep_freed_memory` called, before the ``(n + 1) x (n + 1)``
-    table is allocated."""
+    """The operator set for degree ``n``; three recurrences for n >= 3 (one at
+    n = 2, none at n = 1), the last Newton pass of :func:`lgl_nodes_weights`
+    filling V's table. With ``check`` the SBP residual is held to
+    :func:`sbp_tolerance`. The degree is checked, and :func:`keep_freed_memory`
+    called, before the ``(n + 1) x (n + 1)`` table is allocated."""
     _check_degree(n)
     keep_freed_memory()
     table = np.empty((n + 1, n + 1))
@@ -323,12 +318,12 @@ def build_operator_sets(ns: Sequence[int]) -> Iterator[OperatorSet]:
     """Yield ``build_operators(n)`` for each n of ``ns`` in order, bit for bit.
 
     The distinct degrees >= 2, ascending, are split by :func:`_solve_groups`,
-    and each group's nodes come from one :func:`_lgl_newton` solve (three
-    recurrences to its largest degree for degrees >= 4), run when the first
-    of its degrees is due; the recurrence is elementwise, so a degree's bits
-    do not depend on its group. D, V, Vinv and the SBP check follow one set
-    at a time. Only the current group's table is held: degrees given out of
-    order may solve a group again.
+    and each group's nodes come from one :func:`_lgl_newton` solve, run when
+    the first of its degrees is due: three recurrences to its largest degree
+    (one for n = 2 alone), the last filling the group's shared table. The
+    recurrence is elementwise, so a degree's bits do not depend on its group.
+    D, V, Vinv and the SBP check follow one set at a time. Only the current
+    group's table is held: degrees given out of order may solve a group again.
     """
     for n in ns:
         _check_degree(n)

@@ -130,18 +130,19 @@ class TestConvergenceDriver:
             run_convergence([], dt=1e-3)
 
     def test_the_sweep_runs_three_recurrences_in_all(self, monkeypatch):
-        # one Newton solve serves all 29 default degrees; its last pass fills
-        # every table behind V
+        # one Newton solve serves all 29 default degrees, the interior nodes
+        # x >= 0 of each in one table to degree 63; its last pass fills every
+        # table behind V
         calls = []
-        pair = operators._legendre_pair
+        fill = operators._legendre_table
 
-        def counted(segments, x, table=None):
-            calls.append(sorted(segments))
-            return pair(segments, x, table)
+        def counted(x, table):
+            calls.append(table.shape)
+            fill(x, table)
 
-        monkeypatch.setattr(operators, "_legendre_pair", counted)
+        monkeypatch.setattr(operators, "_legendre_table", counted)
         run_convergence(t_final=0.01)
-        assert calls == [list(range(7, 64, 2))] * 3
+        assert calls == [(64, sum(n // 2 for n in range(7, 64, 2)))] * 3
 
     def test_degrees_run_in_the_given_order_as_they_run_alone(self):
         res = run_convergence([9, 7, 7, 15], dt=1e-2, t_final=0.1)

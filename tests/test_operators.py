@@ -95,22 +95,24 @@ class TestNodesWeights:
 
     @pytest.mark.parametrize("n", SWEEP_NS)
     def test_at_most_three_legendre_passes(self, n, monkeypatch):
-        """The asymptotic seed converges in three Newton passes; the last one also
-        gives the weights and the table behind V, so a build runs three recurrences,
-        and so does lgl_nodes_weights alone, which fills a table of its own."""
+        """The asymptotic seed converges in three Newton passes, and N = 2's seed, 0,
+        is its root; the last pass also gives the weights and the table behind V, so a
+        build runs exactly 0, 1 and 3 recurrences at N = 1, 2 and >= 3, and so does
+        lgl_nodes_weights alone, which fills a table of its own."""
         calls = []
-        pair = operators._legendre_pair
+        fill = operators._legendre_table
 
-        def counted(segments, x, table=None):
-            calls.append(max(segments))
-            return pair(segments, x, table)
+        def counted(x, table):
+            calls.append(len(table) - 1)
+            fill(x, table)
 
-        monkeypatch.setattr(operators, "_legendre_pair", counted)
+        monkeypatch.setattr(operators, "_legendre_table", counted)
         build_operators(n)
         built = len(calls)
         lgl_nodes_weights(n)
-        for count in (built, len(calls) - built):
-            assert (count == 3) if n >= 4 else (count <= 4)
+        passes = {1: 0, 2: 1}.get(n, 3)
+        assert (built, len(calls) - built) == (passes, passes)
+        assert calls == [n] * (2 * passes)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 397, 512])
     def test_fills_its_own_table_when_none_is_passed(self, n, monkeypatch):
@@ -131,34 +133,38 @@ class TestNodesWeights:
         assert nodes.tobytes() == given[0].tobytes()
         assert weights.tobytes() == given[1].tobytes()
         reference = np.empty((n + 1, n + 1))
-        operators._legendre_pair({n: slice(None)}, nodes, reference)
+        operators._legendre_table(nodes, reference)
         assert tables[0].tobytes() == reference.tobytes() == given_table.tobytes()
         own = vandermonde(nodes, weights, tables[0])
         assert [a.tobytes() for a in own] == [a.tobytes() for a in vandermonde(nodes, weights)]
 
     @pytest.mark.parametrize("n", [1, 2, 64, 512])
     def test_recurrence_table_rows_are_the_pair(self, n):
-        """The table behind V and the Newton passes come from one recurrence, bit for bit."""
+        """Rows k - 1 and k of a table are the last two rows of a (k + 1)-row table, bit
+        for bit: the pair a Newton pass reads at degree k is in the table behind V."""
         x = np.concatenate([lgl_nodes_weights(n)[0],
                             np.random.default_rng(n).uniform(-1.0, 1.0, 7)])
         table = np.empty((n + 1, x.size))
-        operators._legendre_pair({n: slice(None)}, x, table)
+        operators._legendre_table(x, table)
         assert table[0].tobytes() == np.ones_like(x).tobytes()
         for k in range(1, n + 1):
-            assert table[k].tobytes() == operators._legendre_pair({k: slice(None)}, x)[0].tobytes()
+            alone = np.empty((k + 1, x.size))
+            operators._legendre_table(x, alone)
+            assert table[k - 1:k + 1].tobytes() == alone[k - 1:].tobytes()
 
     @pytest.mark.parametrize("ns", [[1, 2], [3, 64, 65], [2, 7, 512]])
     def test_one_recurrence_gives_each_segment_its_own_pair(self, ns):
-        """Segments of one recurrence get the pair their degree gets alone, bit for bit."""
+        """Each column block of one table is the table of that block alone, bit for bit,
+        at the table's height and at the block's own degree."""
         x = np.random.default_rng(len(ns)).uniform(-1.0, 1.0, 5 * len(ns))
-        segments = {n: slice(5 * i, 5 * i + 5) for i, n in enumerate(ns)}
         table = np.empty((max(ns) + 1, x.size))
-        p, p_prev = operators._legendre_pair(segments, x, table)
-        for n, s in segments.items():
-            alone = operators._legendre_pair({n: slice(None)}, x[s])
-            assert p[s].tobytes() == alone[0].tobytes()
-            assert p_prev[s].tobytes() == alone[1].tobytes()
-            assert table[n, s].tobytes() == alone[0].tobytes()
+        operators._legendre_table(x, table)
+        for i, n in enumerate(ns):
+            s = slice(5 * i, 5 * i + 5)
+            for rows in (len(table), n + 1):
+                alone = np.empty((rows, 5))
+                operators._legendre_table(x[s], alone)
+                assert table[:rows, s].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65, 397, 512])
     def test_build_folds_the_vandermonde_table_into_newton(self, n):
@@ -212,6 +218,17 @@ class TestOperatorSets:
     def test_match_per_degree_builds_on_drawn_lists(self, ns):
         for ops, n in zip(build_operator_sets(ns), ns, strict=True):
             assert _set_bytes(ops) == _set_bytes(build_operators(n))
+
+    @pytest.mark.parametrize("field", ["nodes", "weights", "D", "V", "Vinv"])
+    def test_built_sets_are_read_only(self, field):
+        for ops in (build_operators(7), *build_operator_sets([1, 2, 7, 64])):
+            array = getattr(ops, field)
+            before = array.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2.0
+            assert array.tobytes() == before
 
     @pytest.mark.parametrize("ns", [[7, 0], [7, 513]])
     def test_degrees_are_checked_before_any_set(self, ns):
