@@ -144,7 +144,8 @@ def _run_linear(problem: ProblemSpec, ops: OperatorSet, u0_fn, exact_fn, t_final
     (S and Q from :func:`rk3_affine_step` of the problem's
     :func:`linear_operator` (L, r); F is ``STUDY_FILTER``'s, left out
     unless ``filtered``) and g the inflow at the step's three stage times.
-    It is built once, as E = A - I and B, and applied as u + (E u + B g).
+    It is built once, as E = A - I and B, if the run has a full step, and
+    applied as u + (E u + B g).
     The map of 2k steps comes from the map of k by doubling:
     E <- E + E + E E and B <- [B + E B, B], where g stacks the steps' inflow
     in order.
@@ -162,17 +163,17 @@ def _run_linear(problem: ProblemSpec, ops: OperatorSet, u0_fn, exact_fn, t_final
     fmat = build_filter(ops, STUDY_FILTER).F if filtered else None
     x = problem.physical_nodes(ops.nodes)
     lmat, r = linear_operator(problem, ops)
-    n1 = ops.N + 1
-
-    inc = rk3_affine_step(lmat, r, dt)
-    if fmat is not None:
-        # F S - I = F (S - I) + (F - I)
-        inc = fmat @ inc
-        inc[:, :n1] += fmat - np.eye(n1)
-    e, b = inc[:, :n1], inc[:, n1:]
-    c_dt = np.multiply(RK3_C, dt)
-
     n_full = starts.size if h_last == dt else starts.size - 1
+
+    if n_full:
+        n1 = ops.N + 1
+        inc = rk3_affine_step(lmat, r, dt)
+        if fmat is not None:
+            # F S - I = F (S - I) + (F - I)
+            inc = fmat @ inc
+            inc[:, :n1] += fmat - np.eye(n1)
+        e, b = inc[:, :n1], inc[:, n1:]
+    c_dt = np.multiply(RK3_C, dt)
     u, done, k = u0_fn(x), 0, 1
     g_lo, g_hi = 0, 0  # the full steps whose inflow g_block holds
     while done < n_full:

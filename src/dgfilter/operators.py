@@ -301,44 +301,31 @@ def build_operators(n: int, check: bool = True) -> OperatorSet:
     return _assemble(n, nodes, weights, table, check)
 
 
-def _solve_groups(degrees: Sequence[int]) -> list[list[int]]:
-    """The ascending ``degrees`` split into runs whose shared :func:`_lgl_newton`
-    table, (max + 1) x sum(n // 2), holds at most ``_MAX_SQUARE`` doubles."""
-    groups, cols = [], 0
-    for n in degrees:
-        if not groups or (n + 1) * (cols + n // 2) > _MAX_SQUARE:
-            groups.append([])
-            cols = 0
-        groups[-1].append(n)
-        cols += n // 2
-    return groups
-
-
 def build_operator_sets(ns: Sequence[int]) -> Iterator[OperatorSet]:
     """Yield ``build_operators(n)`` for each n of ``ns`` in order, bit for bit.
 
-    The distinct degrees >= 2, ascending, are split by :func:`_solve_groups`,
-    and each group's nodes come from one :func:`_lgl_newton` solve, run when
-    the first of its degrees is due: three recurrences to its largest degree
-    (one for n = 2 alone), the last filling the group's shared table. The
-    recurrence is elementwise, so a degree's bits do not depend on its group.
-    D, V, Vinv and the SBP check follow one set at a time. Only the current
-    group's table is held: degrees given out of order may solve a group again.
+    The nodes of every distinct degree >= 2 come from one :func:`_lgl_newton`
+    solve: three recurrences to the largest degree (one for n = 2 alone), the
+    last filling the batch's shared table. The recurrence is elementwise, so a
+    degree's bits do not depend on its batch. D, V, Vinv and the SBP check
+    follow one set at a time. The degrees are checked, and a batch whose
+    shared table, (max + 1) x sum(n // 2), would hold more than
+    ``_MAX_SQUARE`` doubles (one N = 512 square) is rejected with
+    ``ValueError``, before anything is allocated; build such degrees alone
+    or in smaller batches.
     """
     for n in ns:
         _check_degree(n)
-    keep_freed_memory()
-    groups = _solve_groups(sorted({n for n in ns if n >= 2}))
-    group_of = {n: g for g, group in enumerate(groups) for n in group}
+    solve = sorted({n for n in ns if n >= 2})
     # degree 1 has no interior node: it takes empty slices of any solve
-    solved, x, p, segments, half = None, np.empty(0), np.empty(0), {}, np.empty((2, 0))
+    rows, cols = max(solve, default=1) + 1, sum(n // 2 for n in solve)
+    if rows * cols > _MAX_SQUARE:
+        raise ValueError(f"a batch to degree {rows - 1} needs a {rows} x {cols} shared table, "
+                         f"above the {_MAX_SQUARE} doubles of one degree-{MAX_DEGREE} square")
+    keep_freed_memory()
+    half = np.empty((rows, cols))
+    x, p, segments = _lgl_newton(solve, half)
     for n in ns:
-        g = group_of.get(n, solved)
-        if g != solved:
-            group = groups[g]
-            half = np.empty((group[-1] + 1, sum(m // 2 for m in group)))
-            x, p, segments = _lgl_newton(group, half)
-            solved = g
         s = segments.get(n, slice(0, 0))
         table = np.empty((n + 1, n + 1))
         table[:, (n + 1) // 2:n] = half[:n + 1, s]

@@ -18,7 +18,7 @@ RK3_C = (0.0, 1.0 / 3.0, 3.0 / 4.0)
 _RK3_STAGES = tuple(zip((RK3_A[0], *map(np.array, RK3_A[1:])), map(np.array, RK3_B), RK3_C))
 
 # Step cap: bounds fixed_steps' array of t_final / dt start times, the Burgers filter
-# count, the first step of a CFL-stepped run (Burgers, FV) and the FV grid size.
+# count and the first step of a CFL-stepped run (Burgers, FV).
 MAX_STEPS = 10**7
 
 
@@ -105,6 +105,9 @@ def fixed_steps(t_final: float, dt: float) -> tuple[np.ndarray, float]:
     accumulates the start times in order, as ``t += dt`` does. The candidates
     run at least one ``dt`` past ``t_final``, more than their rounding within
     ``MAX_STEPS``; ``integrate``'s rule ``t < t_final - eps`` keeps a prefix.
+    They are summed at a quarter scale, so the largest, below (t_final + 2 dt)
+    / 4, stays finite; a power-of-two scale rounds alike (the quarters are
+    subnormal only for a ``t_final`` below ``eps``, which keeps no start).
     """
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError("final time must be positive and finite")
@@ -112,10 +115,11 @@ def fixed_steps(t_final: float, dt: float) -> tuple[np.ndarray, float]:
         raise ValueError("dt must be positive and finite")
     check_step_budget(t_final, dt)
     eps = 1e-12 * max(1.0, abs(t_final))
-    starts = np.full(int(t_final / dt) + 3, dt)
+    starts = np.full(int(t_final / dt) + 3, 0.25 * dt)
     starts[0] = 0.0
     np.cumsum(starts, out=starts)
-    starts = starts[:np.searchsorted(starts, t_final - eps)]
+    starts = starts[:np.searchsorted(starts, 0.25 * (t_final - eps))]
+    starts *= 4.0
     return starts, min(dt, t_final - float(starts[-1])) if starts.size else dt
 
 

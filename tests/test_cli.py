@@ -160,7 +160,7 @@ class TestExitCodes:
                       "--out", "{tmp}/b.csv"], id="burgers-negative-cfl"),
         pytest.param(["varspeed", "--dt", "0", "--out", "{tmp}/v.csv"], id="varspeed-dt0"),
         pytest.param(["fv-reference", "--cells", "5", "--out", "{tmp}/f.csv"], id="fv-cells5"),
-        # beyond MAX_STEPS: numpy could not allocate the grid
+        # beyond MAX_CELLS, far beyond what numpy could allocate
         pytest.param(["fv-reference", "--cells", "10000000000000", "--out", "{tmp}/f.csv"],
                      id="fv-cells-above-cap"),
         # a first step of about 1e-12: far more than MAX_STEPS steps to t = 2.25
@@ -223,12 +223,12 @@ class TestExitCodes:
 
     def test_fv_work_beyond_the_cell_update_cap_is_exit_two(self, tmp_path, capsys,
                                                             monkeypatch):
-        # 10^6 cells and a first-step bound of 5e5 steps: 5e11 cell updates
+        # 2e5 cells (the grid cap) and a first-step bound of 1e5 steps: 2e10 cell updates
         def never_called(*args, **kwargs):
             raise AssertionError("the FV kernel ran on rejected input")
 
         monkeypatch.setattr(kernels, "fv_burgers", never_called)
-        code = main(["fv-reference", "--cells", "1000000", "--out", str(tmp_path / "f.csv")])
+        code = main(["fv-reference", "--cells", "200000", "--out", str(tmp_path / "f.csv")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("dgfilter: error: ") and "work cap" in err and err.count("\n") == 1

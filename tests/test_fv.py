@@ -9,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgfilter import fv, kernels
-from dgfilter.fv import FvConfig, cell_centers, solve_fv_burgers
-from dgfilter.timestepping import MAX_STEPS
+from dgfilter import experiments, kernels
+from dgfilter.fv import MAX_CELLS, FvConfig, cell_centers, solve_fv_burgers
 from helpers import burgers_entropy_solution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -23,7 +22,7 @@ class TestFvConfig:
         assert cfg.cells == 10000 and cfg.cfl == 0.9
         assert cfg.dx == pytest.approx(2e-4)
 
-    @pytest.mark.parametrize("bad", [dict(cells=5), dict(cells=MAX_STEPS + 1),
+    @pytest.mark.parametrize("bad", [dict(cells=5), dict(cells=MAX_CELLS + 1),
                                      dict(cfl=0.0), dict(cfl=1.2), dict(t_final=0.0),
                                      dict(t_final=math.nan), dict(t_final=math.inf)])
     def test_rejects_invalid(self, bad):
@@ -49,53 +48,64 @@ def test_first_step_beyond_the_step_cap_is_rejected_before_stepping(monkeypatch)
 
 
 def test_work_beyond_the_cell_update_cap_is_rejected_before_stepping(monkeypatch):
-    # 10^6 cells: a first-step bound of 5e5 steps, 5e11 cell updates
+    # MAX_CELLS = 2e5 cells: a first-step bound of 1e5 steps, 2e10 cell updates
     def never_called(*args, **kwargs):
         raise AssertionError("the FV kernel ran on rejected input")
 
     monkeypatch.setattr(kernels, "fv_burgers", never_called)
     with pytest.raises(ValueError, match="work cap"):
-        solve_fv_burgers(FvConfig(cells=10**6), lambda x: 0.2 * (1.0 + np.cos(np.pi * x)))
+        solve_fv_burgers(FvConfig(cells=MAX_CELLS), lambda x: 0.2 * (1.0 + np.cos(np.pi * x)))
 
 
-def test_the_caps_read_every_block_of_the_initial_data(monkeypatch):
-    # two full blocks and a partial one; only the last cell moves, fast
-    # enough that the first step is beyond the step cap
+def test_the_caps_read_every_cell_of_the_initial_data(monkeypatch):
+    # only the last cell moves, fast enough that the first step is beyond the step cap
     def never_called(*args, **kwargs):
         raise AssertionError("the FV kernel ran on rejected input")
 
     monkeypatch.setattr(kernels, "fv_burgers", never_called)
-    cfg = FvConfig(cells=2 * fv._CAP_BLOCK + 5)
+    cfg = FvConfig(cells=MAX_CELLS)
     last = cell_centers(cfg)[-1]
     with pytest.raises(ValueError, match="step cap"):
         solve_fv_burgers(cfg, lambda x: np.where(x == last, 1e9, 0.0))
 
 
-def test_cell_center_blocks_are_slices_of_the_grid():
-    cfg = FvConfig(cells=2 * fv._CAP_BLOCK + 5)
-    x = cell_centers(cfg)
-    bounds = [0, fv._CAP_BLOCK, 2 * fv._CAP_BLOCK, cfg.cells]
-    for lo, hi in zip(bounds, bounds[1:]):
-        assert cell_centers(cfg, lo, hi).tobytes() == x[lo:hi].tobytes()
+def test_the_largest_study_grid_passes_both_caps(monkeypatch):
+    # at cfl 0.95 the study's initial data runs on up to 145 296 cells: the
+    # grid cap admits it, the work cap takes it and refuses one cell more
+    ran = []
+
+    def kernel(u0, dx, cfl, t_final):
+        ran.append(u0.size)
+        return u0, 0
+
+    monkeypatch.setattr(kernels, "fv_burgers", kernel)
+    experiments.run_fv_reference(FvConfig(cells=145296, cfl=0.95))
+    assert ran == [145296]
+    with pytest.raises(ValueError, match="work cap"):
+        experiments.run_fv_reference(FvConfig(cells=145297, cfl=0.95))
+    assert ran == [145296]
 
 
 def test_a_rejected_grid_is_never_allocated(tmp_path):
-    # 10^7 cells are 5e13 cell updates; the grid and u0 alone would be 160 MB
+    # 10^7 cells are past the grid cap, refused before the grid exists (the
+    # grid and u0 alone would be 160 MB); 2e5 cells pass it and are refused
+    # by the work cap (2e10 cell updates) after the one grid evaluation.
     # The child's own peak of traced allocations (numpy's included): its
     # ru_maxrss would start at the peak of this process, which a vfork
     # child inherits at exec
     script = ("import sys, tracemalloc\n"
               "tracemalloc.start()\n"
               "from dgfilter.cli import main\n"
-              "code = main(['fv-reference', '--cells', '10000000', '--out', sys.argv[1]])\n"
+              "code = main(['fv-reference', '--cells', sys.argv[2], '--out', sys.argv[1]])\n"
               "print(code, tracemalloc.get_traced_memory()[1])\n")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "f.csv")],
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-                          text=True, timeout=120, check=True)
-    code, peak = map(int, proc.stdout.split())
-    assert code == 2 and "work cap" in proc.stderr
-    assert peak < 100 * 2**20
+    for cells, message in (("10000000", "reference grid needs"), ("200000", "work cap")):
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "f.csv"), cells],
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                              text=True, timeout=120, check=True)
+        code, peak = map(int, proc.stdout.split())
+        assert code == 2 and message in proc.stderr, cells
+        assert peak < 100 * 2**20, cells
 
 
 def test_cell_centers_cover_domain():

@@ -1,6 +1,5 @@
 """Tests for the LGL collocation operators: nodes, weights, D, V, inner products."""
 
-import hashlib
 import platform
 import resource
 import tracemalloc
@@ -202,11 +201,7 @@ def _set_bytes(ops):
 class TestOperatorSets:
     """One Newton solve for a list of degrees gives each the bits it gets alone."""
 
-    @pytest.mark.parametrize("ns", [
-        [1, 2, 3], [9, 7, 7, 63], [512, 7, 256],
-        # three solve groups, each due twice
-        [512, 1, 300, 511, 2, 400, 509, 512, 1],
-    ])
+    @pytest.mark.parametrize("ns", [[1, 2, 3], [9, 7, 7, 63], [512, 7, 256]])
     def test_match_per_degree_builds(self, ns):
         sets = list(build_operator_sets(ns))
         assert [ops.N for ops in sets] == ns
@@ -214,9 +209,16 @@ class TestOperatorSets:
             assert _set_bytes(ops) == _set_bytes(build_operators(n))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
-    @given(st.lists(st.integers(1, 64), min_size=1, max_size=8))
+    @given(st.lists(st.integers(1, MAX_DEGREE), min_size=1, max_size=8))
     def test_match_per_degree_builds_on_drawn_lists(self, ns):
-        for ops, n in zip(build_operator_sets(ns), ns, strict=True):
+        # a list either fits the shared-table bound and matches, or is refused at once
+        solve = {n for n in ns if n >= 2}
+        sets = build_operator_sets(ns)
+        if (max(solve, default=1) + 1) * sum(n // 2 for n in solve) > (MAX_DEGREE + 1) ** 2:
+            with pytest.raises(ValueError, match="shared table"):
+                next(sets)
+            return
+        for ops, n in zip(sets, ns, strict=True):
             assert _set_bytes(ops) == _set_bytes(build_operators(n))
 
     @pytest.mark.parametrize("field", ["nodes", "weights", "D", "V", "Vinv"])
@@ -236,36 +238,27 @@ class TestOperatorSets:
             next(build_operator_sets(ns))
 
     def test_no_shared_table_exceeds_the_largest_square(self):
-        degrees = list(range(2, MAX_DEGREE + 1))
-        groups = operators._solve_groups(degrees)
-        assert [n for group in groups for n in group] == degrees
-        for group in groups:
-            assert (group[-1] + 1) * sum(n // 2 for n in group) <= (MAX_DEGREE + 1) ** 2
-        # the convergence sweep stays one solve
-        sweep = list(range(7, 64, 2))
-        assert operators._solve_groups(sweep) == [sweep]
-        assert operators._solve_groups([2, 300, 400, 509, 511, 512]) == [
-            [2, 300, 400], [509, 511], [512]]
+        # [4, 511, 512] fills exactly one 513 x 513 table; [6, 511, 512] needs one more column
+        for ops, n in zip(build_operator_sets([4, 511, 512]), [4, 511, 512], strict=True):
+            assert _set_bytes(ops) == _set_bytes(build_operators(n))
+        for ns in ([6, 511, 512], [512, 1, 300, 511, 2, 400, 509, 512, 1]):
+            with pytest.raises(ValueError, match="shared table"):
+                next(build_operator_sets(ns))
 
     def test_every_degree_in_bounded_memory(self):
-        # the first and last degree of each group, and the ends of the range
-        groups = operators._solve_groups(range(2, MAX_DEGREE + 1))
-        sample = {1, *(group[0] for group in groups), *(group[-1] for group in groups)}
-
-        def digest(ops):
-            return hashlib.sha256(b"".join(_set_bytes(ops))).hexdigest()
-
-        digests = {}
+        # refused before the table exists: 1..512 in one batch would need a
+        # 513 x 65536 table (269 MB), the sweep's spread of 19 degrees 513 x 3300
+        spread = [n for n in SWEEP_NS if n > 64]
         tracemalloc.start()
         try:
-            for ops in build_operator_sets(range(1, MAX_DEGREE + 1)):
-                if ops.N in sample:
-                    digests[ops.N] = digest(ops)
+            for ns in (range(1, MAX_DEGREE + 1), spread):
+                with pytest.raises(ValueError, match="shared table"):
+                    next(build_operator_sets(ns))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
-        assert digests == {n: digest(build_operators(n)) for n in sample}
+        assert len(spread) == 19
+        assert peak < 2**20
 
 
 def _no_c_library(name):

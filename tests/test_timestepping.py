@@ -136,7 +136,10 @@ class TestFixedSteps:
         (0.7, 0.1),
         (1.0, 2.0),         # one step, shorter than dt
         (1e-13, 1e-3),      # no step at all
+        (0.5, 1e308),       # candidates near the largest double, which must not overflow
+        (1.5e308, 1.7e308),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_the_loop(self, t_final, dt):
         starts, h_last = fixed_steps(t_final, dt)
         ref_starts, ref_h_last = loop_fixed_steps(t_final, dt)
