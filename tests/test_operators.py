@@ -201,7 +201,11 @@ def _set_bytes(ops):
 class TestOperatorSets:
     """One Newton solve for a list of degrees gives each the bits it gets alone."""
 
-    @pytest.mark.parametrize("ns", [[1, 2, 3], [9, 7, 7, 63], [512, 7, 256]])
+    @pytest.mark.parametrize("ns", [
+        [1, 2, 3], [9, 7, 7, 63], [512, 7, 256],
+        # unsorted, with 512 and 1 each due twice; its table, 513 x 449, fits the bound
+        [512, 1, 256, 2, 128, 512, 1],
+    ])
     def test_match_per_degree_builds(self, ns):
         sets = list(build_operator_sets(ns))
         assert [ops.N for ops in sets] == ns
