@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 import time
 
@@ -171,6 +172,13 @@ def _check_out(path: str) -> None:
         raise OSError(f"cannot write {path}: it is a directory")
     if not (name := os.path.basename(path)):  # '' or a trailing separator
         raise OSError(f"cannot write {path!r}: it names no file")
+    # an existing file or device (/dev/null) is written in place: its own
+    # permission counts, not its directory's
+    mode = os.stat(path).st_mode if os.path.exists(path) else 0
+    if stat.S_ISREG(mode) or stat.S_ISCHR(mode):
+        if not os.access(path, os.W_OK):
+            raise OSError(f"cannot write {path}: it is not writable")
+        return
     parent = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise OSError(f"cannot write {path}: {parent} is not a writable directory")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -59,7 +60,9 @@ class OperatorSet:
     """The collocation operators one run needs, for one polynomial degree N.
 
     Read-only after construction (every array is unwriteable); safe to share
-    across threads.
+    across threads. :func:`build_operators` holds the last set it built, one
+    set only (at most about 6.3 MB, at N = 512), and hands that same object
+    to the next call at its degree.
 
     Attributes
     ----------
@@ -105,11 +108,21 @@ def _legendre_table(x: np.ndarray, table) -> None:
             p_prev, p = p, nxt
 
 
-def _check_degree(n: int) -> None:
+def _check_degree(n: int) -> int:
+    """``n`` as a plain int in [1, MAX_DEGREE]; ``ValueError`` for a bool, a
+    non-integer (``1.0`` too) or a degree out of range."""
+    try:
+        index = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        index = None
+    if index is None:
+        raise ValueError(f"degree must be an integer, not {n!r}")
+    n = index
     if n < 1:
         raise ValueError("degree must be >= 1 (a single node has no boundary matrix)")
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds the configured maximum {MAX_DEGREE}")
+    return n
 
 
 def _lgl_newton(ns: Sequence[int], half) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -188,7 +201,7 @@ def lgl_nodes_weights(n: int, table=None) -> tuple[np.ndarray, np.ndarray]:
     :func:`_lgl_newton` (0, 1 and 3 recurrences at n = 1, 2 and >= 3), whose last pass fills an
     ``(n + 1) x (n + 1)`` table, the caller's ``table`` or its own, with P_k(nodes_j) in row k,
     bit for bit the table :func:`vandermonde` evaluates."""
-    _check_degree(n)
+    n = _check_degree(n)
     table = np.empty((n + 1, n + 1)) if table is None else table
     x, p, _ = _lgl_newton([n] if n >= 2 else [], table[:, (n + 1) // 2:n])
     return _lgl_rule(n, x, p, table)
@@ -274,31 +287,52 @@ def sbp_residual(ops: OperatorSet) -> float:
     return float(np.max(np.abs(resid, out=resid)))
 
 
-def _assemble(n: int, nodes, weights, table, check: bool) -> OperatorSet:
+def _assemble(n: int, nodes, weights, table) -> OperatorSet:
     """The read-only operator set of an LGL rule and its filled Legendre ``table``."""
     dmat = derivative_matrix(nodes, weights)
     vmat, vinv = vandermonde(nodes, weights, table)
     for a in (nodes, weights, dmat, vmat, vinv):
         a.setflags(write=False)
-    ops = OperatorSet(N=n, nodes=nodes, weights=weights, D=dmat, V=vmat, Vinv=vinv)
-    if check:
-        resid = sbp_residual(ops)
-        if resid > sbp_tolerance(n):
-            raise ArithmeticError(f"summation-by-parts residual {resid:.3e} at degree {n}")
+    return OperatorSet(N=n, nodes=nodes, weights=weights, D=dmat, V=vmat, Vinv=vinv)
+
+
+def _check_sbp(ops: OperatorSet) -> OperatorSet:
+    """``ops``, once its SBP residual is within :func:`sbp_tolerance`; else ``ArithmeticError``."""
+    resid = sbp_residual(ops)
+    if resid > sbp_tolerance(ops.N):
+        raise ArithmeticError(f"summation-by-parts residual {resid:.3e} at degree {ops.N}")
     return ops
+
+
+# the last set build_operators built, handed back to the next call at its degree
+_held: OperatorSet | None = None
 
 
 def build_operators(n: int, check: bool = True) -> OperatorSet:
     """The operator set for degree ``n``; three recurrences for n >= 3 (one at
     n = 2, none at n = 1), the last Newton pass of :func:`lgl_nodes_weights`
     filling V's table. With ``check`` the SBP residual is held to
-    :func:`sbp_tolerance`. The degree is checked, and :func:`keep_freed_memory`
-    called, before the ``(n + 1) x (n + 1)`` table is allocated."""
-    _check_degree(n)
-    keep_freed_memory()
-    table = np.empty((n + 1, n + 1))
-    nodes, weights = lgl_nodes_weights(n, table)
-    return _assemble(n, nodes, weights, table, check)
+    :func:`sbp_tolerance` on every call. The degree is checked, and
+    :func:`keep_freed_memory` called, before the ``(n + 1) x (n + 1)`` table is
+    allocated.
+
+    The last set built is held and handed back, the same object, to the next
+    call at its degree. A call at another degree drops it before allocating,
+    so one set at most (about 6.3 MB at N = 512, memory the allocator policy
+    keeps in the process anyway) outlives its callers. Sets are read-only and
+    the held one is swapped by one assignment: two threads may each build a
+    set, but every call gets a set of its own degree.
+    """
+    global _held
+    n = _check_degree(n)
+    ops = _held
+    if ops is None or ops.N != n:
+        _held = ops = None
+        keep_freed_memory()
+        table = np.empty((n + 1, n + 1))
+        nodes, weights = lgl_nodes_weights(n, table)
+        _held = ops = _assemble(n, nodes, weights, table)
+    return _check_sbp(ops) if check else ops
 
 
 def build_operator_sets(ns: Sequence[int]) -> Iterator[OperatorSet]:
@@ -314,8 +348,7 @@ def build_operator_sets(ns: Sequence[int]) -> Iterator[OperatorSet]:
     ``ValueError``, before anything is allocated; build such degrees alone
     or in smaller batches.
     """
-    for n in ns:
-        _check_degree(n)
+    ns = [_check_degree(n) for n in ns]
     solve = sorted({n for n in ns if n >= 2})
     # degree 1 has no interior node: it takes empty slices of any solve
     rows, cols = max(solve, default=1) + 1, sum(n // 2 for n in solve)
@@ -329,4 +362,4 @@ def build_operator_sets(ns: Sequence[int]) -> Iterator[OperatorSet]:
         s = segments.get(n, slice(0, 0))
         table = np.empty((n + 1, n + 1))
         table[:, (n + 1) // 2:n] = half[:n + 1, s]
-        yield _assemble(n, *_lgl_rule(n, x[s], p[s], table), table, check=True)
+        yield _check_sbp(_assemble(n, *_lgl_rule(n, x[s], p[s], table), table))

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes and CSV output."""
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -321,3 +322,61 @@ class TestCsvOutputs:
         main(["convergence", "--n-list", "7,9", "--dt", "0.005", "--out", str(a)])
         main(["convergence", "--n-list", "7,9", "--dt", "0.005", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestOutPermissions:
+    """``--out`` is held to the permission its open for writing needs: an existing
+    file's own, a new file's directory's. ``os.access`` is patched to deny writes,
+    since a process running as root passes every access check."""
+
+    @pytest.fixture
+    def read_only(self, monkeypatch):
+        paths = set()
+        access = os.access
+
+        def denied(path, mode, **kwargs):
+            if mode == os.W_OK and os.path.abspath(path) in paths:
+                return False
+            return access(path, mode, **kwargs)
+
+        monkeypatch.setattr(os, "access", denied)
+        return paths
+
+    @staticmethod
+    def _no_study(monkeypatch):
+        def never_called(*args, **kwargs):
+            raise AssertionError("a study ran with an unwritable --out")
+
+        monkeypatch.setattr(experiments, "run_fv_reference", never_called)
+
+    def test_an_existing_file_in_a_read_only_directory_is_written(self, tmp_path, read_only):
+        out = tmp_path / "fv.csv"
+        out.write_text("old", encoding="utf-8")
+        read_only.add(str(tmp_path))
+        assert main(["fv-reference", "--cells", "100", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").startswith(CSV_HEADER)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_dev_null_is_written_though_dev_is_read_only(self, read_only, capsys):
+        read_only.add("/dev")
+        assert main(["fv-reference", "--cells", "100", "--out", "/dev/null"]) == 0
+        assert "wrote /dev/null" in capsys.readouterr().err
+
+    def test_an_unwritable_existing_file_is_refused_before_the_study(self, tmp_path, read_only,
+                                                                     capsys, monkeypatch):
+        self._no_study(monkeypatch)
+        out = tmp_path / "fv.csv"
+        out.write_text("old", encoding="utf-8")
+        read_only.add(str(out))
+        assert main(["fv-reference", "--cells", "100", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dgfilter: error: cannot write {out}: it is not writable\n"
+        assert out.read_text(encoding="utf-8") == "old"
+
+    def test_a_new_file_in_a_read_only_directory_is_refused(self, tmp_path, read_only, capsys,
+                                                            monkeypatch):
+        self._no_study(monkeypatch)
+        read_only.add(str(tmp_path))
+        assert main(["fv-reference", "--cells", "100", "--out", str(tmp_path / "f.csv")]) == 2
+        assert "is not a writable directory" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()

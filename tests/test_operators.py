@@ -2,8 +2,11 @@
 
 import platform
 import resource
+import sys
+import threading
 import tracemalloc
 import types
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -263,6 +266,109 @@ class TestOperatorSets:
             tracemalloc.stop()
         assert len(spread) == 19
         assert peak < 2**20
+
+
+class TestHeldSet:
+    """build_operators hands its last set to the next call at the same degree."""
+
+    def test_same_degree_builds_once(self, monkeypatch):
+        calls = []
+        fill = operators._legendre_table
+
+        def counted(x, table):
+            calls.append(len(table) - 1)
+            fill(x, table)
+
+        monkeypatch.setattr(operators, "_legendre_table", counted)
+        ops = build_operators(24)
+        assert calls == [24] * 3
+        assert build_operators(24) is ops
+        assert build_operators(24, check=False) is ops
+        assert build_operators(np.int64(24)) is ops
+        assert calls == [24] * 3
+
+    def test_another_degree_drops_the_held_set_before_it_builds(self, monkeypatch):
+        old = weakref.ref(build_operators(24))
+        dead_at_build = []
+        rule = operators.lgl_nodes_weights
+
+        def watched(n, table=None):
+            dead_at_build.append(old() is None)
+            return rule(n, table)
+
+        monkeypatch.setattr(operators, "lgl_nodes_weights", watched)
+        new = build_operators(25)
+        assert dead_at_build == [True]
+        assert new.N == 25 and build_operators(25) is new
+
+    def test_a_reused_set_is_checked_again(self, monkeypatch):
+        ops = build_operators(16)
+        assert operators.sbp_residual(ops) > 0.0
+        monkeypatch.setattr(operators, "sbp_tolerance", lambda n: 0.0)
+        assert build_operators(16, check=False) is ops
+        with pytest.raises(ArithmeticError, match="summation-by-parts"):
+            build_operators(16)
+
+    def test_threads_asking_for_alternating_degrees_get_their_own(self):
+        degrees = (15, 16)
+        expected = {n: _set_bytes(next(build_operator_sets([n]))) for n in degrees}
+        wrong = []
+        start = threading.Barrier(4)
+
+        def ask(first):
+            start.wait()
+            for i in range(100):
+                n = degrees[(first + i) % 2]
+                ops = build_operators(n)
+                fields = (ops.nodes, ops.weights, ops.D, ops.V, ops.Vinv)
+                if (ops.N != n or _set_bytes(ops) != expected[n]
+                        or any(a.flags.writeable for a in fields)):
+                    wrong.append((n, ops.N))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("n", SWEEP_NS)
+    def test_sweep_stdout_matches_fresh_builds(self, n, capsys):
+        # ops check then filter verify at one degree, as the verify sweep runs
+        # them, print what each prints after a fresh build
+        commands = (["ops", "check", "--n", str(n)], ["filter", "verify", "--n", str(n)])
+        reused = []
+        for argv in commands:
+            main(argv)
+            reused.append(capsys.readouterr().out)
+        fresh = []
+        for argv in commands:
+            operators._held = None
+            main(argv)
+            fresh.append(capsys.readouterr().out)
+        assert reused == fresh
+
+    @pytest.mark.parametrize("n", [True, False, 1.0, 16.0, np.float64(16), "16", None,
+                                   np.True_, np.array([16])])
+    def test_a_degree_must_be_an_integer(self, n):
+        build_operators(1)  # held, and True == 1.0 == 1: neither may be handed it
+        for build in (build_operators, lgl_nodes_weights):
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                build(n)
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            next(build_operator_sets([7, n]))
+
+    def test_an_integer_degree_is_a_plain_int(self):
+        ops = build_operators(np.int64(16))
+        assert type(ops.N) is int and ops.N == 16
+        assert [type(s.N) for s in build_operator_sets([np.int32(7), 9])] == [int, int]
+        assert lgl_nodes_weights(np.int16(3))[0].shape == (4,)
 
 
 def _no_c_library(name):
