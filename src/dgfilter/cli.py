@@ -20,15 +20,25 @@ written (``OSError``) is a usage error: one line on stderr, no traceback.
 A command that builds operators has glibc keep freed memory from its
 first build on (``operators.keep_freed_memory``), so the N^2 arrays of one
 command are not handed back to the kernel and faulted in again by the next.
+
+Run as a program (the ``dgfilter`` console script or ``python -m
+dgfilter.cli``), it uses one BLAS thread unless told otherwise: see
+:func:`dgfilter.console_main`. A call of :func:`main` keeps the caller's.
 """
 
 from __future__ import annotations
+
+import sys
+
+if __name__ == "__main__":  # the console entry, before numpy loads
+    from dgfilter import console_main
+
+    sys.exit(console_main())
 
 import argparse
 import functools
 import os
 import stat
-import sys
 import time
 
 import numpy as np
@@ -202,7 +212,3 @@ def main(argv=None) -> int:
     if out is not None:
         print(f"wrote {out} ({time.perf_counter() - t_start:.2f} s)", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

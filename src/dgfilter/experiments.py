@@ -1,7 +1,8 @@
 """Experiment drivers: convergence, variable-speed filtering, Burgers energy study.
 
 Each driver returns a result object holding the raw arrays plus an
-:class:`ExperimentRecord` whose rows serialize to CSV with the fixed schema
+:class:`ExperimentRecord` whose column blocks reference those arrays and
+serialize to CSV, a row at a time, with the fixed schema
 ``experiment,variant,N,dt,t_or_N,value,extra``. Rows carry their full
 parameter tuple so the files are self-describing, and nothing
 time-of-day-dependent is written, so identical invocations produce
@@ -96,29 +97,44 @@ def filter_tag(filtered: bool) -> str:
 class ExperimentRecord:
     """One experiment's series plus the parameters that produced it.
 
-    Rows are (N, dt, t_or_N, value, extra); for CFL-adaptive runs the dt
-    slot carries the CFL number instead of a fixed step size.
+    The series are held as column blocks (N, dt, t_or_N, value, extra): one
+    N, dt and extra for the block, and ``t_or_N`` and ``value`` as 1-D
+    float arrays of one length. A block added from a driver's float arrays
+    references them, with no copy. For CFL-adaptive runs the dt slot carries
+    the CFL number instead of a fixed step size.
     """
 
     experiment: str
     variant: str
-    rows: list = field(default_factory=list)
+    blocks: list = field(default_factory=list)
 
-    def add(self, n: int, dt: float, t_or_n: float, value: float, extra: str = ""):
-        self.rows.append((n, dt, t_or_n, value, extra))
+    def add(self, n: int, dt: float, t_or_n, value, extra: str = "") -> None:
+        """Add one row from scalars, or one block of rows from equal-length 1-D arrays."""
+        t_or_n = np.atleast_1d(np.asarray(t_or_n, dtype=float))
+        value = np.atleast_1d(np.asarray(value, dtype=float))
+        if t_or_n.ndim != 1 or t_or_n.shape != value.shape:
+            raise ValueError("t_or_N and value must be scalars or 1-D arrays of one length")
+        self.blocks.append((n, dt, t_or_n, value, extra))
+
+    def rows(self):
+        """Each row in order as (N, dt, t_or_N, value, extra), with Python floats."""
+        for n, dt, t_or_n, value, extra in self.blocks:
+            for t, v in zip(t_or_n.tolist(), value.tolist()):
+                yield n, dt, t, v, extra
 
 
 def write_csv(path, records: Sequence[ExperimentRecord]) -> None:
     """Write records with the fixed schema; UTF-8, LF.
 
-    Each row is ``experiment,variant,`` and then ``N,dt,t_or_N,value,extra``
-    formatted once as ``"%d,%.17g,%.17g,%.17g,%s"``: 17 significant digits
-    round-trip every double.
+    The records' blocks are formatted row by row here: each row is
+    ``experiment,variant,`` and then ``N,dt,t_or_N,value,extra`` formatted
+    once as ``"%d,%.17g,%.17g,%.17g,%s"``: 17 significant digits round-trip
+    every double.
     """
     lines = [CSV_HEADER]
     for rec in records:
         prefix = f"{rec.experiment},{rec.variant},"
-        lines.extend(prefix + "%d,%.17g,%.17g,%.17g,%s" % row for row in rec.rows)
+        lines.extend(prefix + "%d,%.17g,%.17g,%.17g,%s" % row for row in rec.rows())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -261,8 +277,7 @@ def run_varspeed(n: int = 256, dt: float = 1.0 / 2000.0, filtered: bool = True,
     tv = total_variation(u)
 
     record = ExperimentRecord("varspeed", filter_tag(filtered))
-    for xi, ui in zip(x, u):
-        record.add(n, dt, xi, ui, "solution")
+    record.add(n, dt, x, u, "solution")
     record.add(n, dt, t_final, err, "linf_error")
     record.add(n, dt, t_final, tv, "total_variation")
     return VarspeedResult(x=x, u_final=u, linf_error=err, tv=tv, record=record)
@@ -344,8 +359,7 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
     )
 
     record = ExperimentRecord("burgers", f"{variant}:{FILTER_PARAMS}" if filtered else variant)
-    for t, e in zip(traj.times, traj.series["energy"]):
-        record.add(n, cfl, t, e, "energy")
+    record.add(n, cfl, traj.times, traj.series["energy"], "energy")
     if traj.crashed:
         record.add(n, cfl, traj.crash_time, traj.crash_time, "crash")
     return BurgersResult(ops=ops, trajectory=traj, record=record)
@@ -363,6 +377,5 @@ def run_fv_reference(config: FvConfig = FvConfig()) -> FvResult:
     """Finite-volume reference profile for the Burgers study."""
     x, u, steps = solve_fv_burgers(config, burgers_initial)
     record = ExperimentRecord("fv_reference", "llf_euler")
-    for xi, ui in zip(x, u):
-        record.add(config.cells, config.cfl, xi, ui, "solution")
+    record.add(config.cells, config.cfl, x, u, "solution")
     return FvResult(x=x, u_final=u, steps=steps, record=record)

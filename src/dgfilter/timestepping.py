@@ -45,11 +45,15 @@ class FilterSchedule:
 
 @dataclass
 class Trajectory:
-    """Recorded series, filter events and final state of one run."""
+    """Recorded series, filter events and final state of one run.
+
+    ``filter_events`` is a (k, 3) float array, one row (t, norm before,
+    norm after) per filter application.
+    """
 
     times: np.ndarray
     series: dict[str, np.ndarray]
-    filter_events: list[tuple[float, float, float]]  # (t, norm before, norm after)
+    filter_events: np.ndarray
     u_final: np.ndarray
     t_final: float
     n_steps: int
@@ -146,10 +150,12 @@ def integrate(
     ``dt_fn = lambda u: dt``, whose steps :func:`fixed_steps` lists and
     checks. The time and the ``observers`` are recorded at ``t0`` and after
     every step. Without a ``schedule`` nothing is filtered; its times snap
-    to the first step boundary at or beyond them. ``norm_fn`` (when given)
-    is evaluated before and after every filter application and recorded as
-    a filter event. A crash detected by ``crash_check`` (default: any
-    non-finite entry) truncates the run and records the crash time.
+    to the first step boundary at or beyond them. Each filter application is
+    a filter event (t, ``norm_fn`` of the state before and after it, or
+    ``nan`` without a ``norm_fn``), written into an array of one row per
+    scheduled time; the filled rows are returned. A crash detected by
+    ``crash_check`` (default: any non-finite entry) truncates the run and
+    records the crash time.
     """
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError("final time must be positive and finite")
@@ -166,7 +172,8 @@ def integrate(
     t = t0
     times: list[float] = []
     series: dict[str, list[float]] = {name: [] for name in observers}
-    events: list[tuple[float, float, float]] = []
+    events = np.empty((0 if schedule is None else len(schedule.times), 3))
+    n_events = 0
 
     def record(now, state):
         times.append(now)
@@ -174,10 +181,12 @@ def integrate(
             series[name].append(float(fn(now, state)))
 
     def apply_filter(now, state):
+        nonlocal n_events
         before = norm_fn(state) if norm_fn is not None else np.nan
         state = schedule.F @ state
         after = norm_fn(state) if norm_fn is not None else np.nan
-        events.append((now, before, after))
+        events[n_events] = now, before, after
+        n_events += 1
         return state
 
     record(t, u)
@@ -205,7 +214,7 @@ def integrate(
     return Trajectory(
         times=np.asarray(times),
         series={name: np.asarray(vals) for name, vals in series.items()},
-        filter_events=events,
+        filter_events=events[:n_events],
         u_final=u,
         t_final=t,
         n_steps=step,

@@ -1,5 +1,7 @@
 """Tests for the experiment drivers, diagnostics and CSV emission."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from dgfilter.equations import ProblemSpec, linear_operator
 from dgfilter.experiments import (
     BURGERS_VARIANTS,
     CSV_HEADER,
+    ExperimentRecord,
     FILTER_PARAMS,
     STEP_CHUNK,
     STUDY_FILTER,
@@ -34,6 +37,19 @@ from dgfilter.timestepping import (MAX_STEPS, RK3_C, FilterSchedule, fixed_steps
                                    rk3_affine_step, rk3_step)
 from helpers import (conservative_advection_rhs, linear_rhs, shock_position,
                      varspeed_advection_rhs, zero_product_affine_step)
+
+
+def held_bytes(fn):
+    """(fn's result, traced bytes still allocated while the result is alive)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = fn()
+        gc.collect()
+        return res, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 class TestProblemData:
@@ -116,6 +132,47 @@ class TestCsv:
         assert tag == (f"{variant}:a36:s16:nc4:clip" if variant.endswith("_filtered") else variant)
 
 
+class TestRecordBlocks:
+    def test_scalars_and_arrays_give_rows_in_order(self):
+        rec = ExperimentRecord("e", "v")
+        rec.add(3, 0.5, np.array([0.0, 1.0]), np.array([2.0, -0.0]), "solution")
+        rec.add(3, 0.5, 4, 5.5, "crash")
+        rows = list(rec.rows())
+        assert rows == [(3, 0.5, 0.0, 2.0, "solution"), (3, 0.5, 1.0, -0.0, "solution"),
+                        (3, 0.5, 4.0, 5.5, "crash")]
+        assert all(type(t) is float and type(v) is float for _, _, t, v, _ in rows)
+
+    @pytest.mark.parametrize("t_or_n, value", [
+        (np.zeros(3), np.zeros(2)),
+        (np.zeros(2), 1.0),
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+    ])
+    def test_unequal_or_multidimensional_columns_are_rejected(self, t_or_n, value):
+        rec = ExperimentRecord("e", "v")
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            rec.add(1, 0.1, t_or_n, value)
+        assert rec.blocks == []
+
+    @pytest.mark.parametrize("driver, columns", [
+        (lambda: run_varspeed(n=8, dt=1e-2, t_final=0.05), lambda r: (r.x, r.u_final)),
+        (lambda: run_fv_reference(FvConfig(cells=50, t_final=0.1)), lambda r: (r.x, r.u_final)),
+        (lambda: run_burgers("cons_filtered", n=8, t_final=0.05),
+         lambda r: (r.trajectory.times, r.trajectory.series["energy"])),
+    ], ids=["varspeed", "fv_reference", "burgers"])
+    def test_series_blocks_share_the_result_arrays(self, driver, columns):
+        res = driver()
+        _, _, t_or_n, value, _ = res.record.blocks[0]
+        x, y = columns(res)
+        assert np.shares_memory(t_or_n, x) and np.shares_memory(value, y)
+        assert t_or_n.size == x.size and value.size == y.size
+
+    def test_default_fv_result_holds_its_arrays_once(self):
+        # the two 10 000-cell arrays are 0.16 MB; a boxed tuple per row held 1.45 MB
+        res, held = held_bytes(run_fv_reference)
+        assert res.x.size == 10000
+        assert held < 0.4e6, held
+
+
 class TestConvergenceDriver:
     def test_errors_drop_fast_in_degree(self):
         res = run_convergence([7, 15], dt=1e-3)
@@ -152,7 +209,7 @@ class TestConvergenceDriver:
 
     def test_rows_carry_parameters(self):
         res = run_convergence([8], dt=1e-2)
-        n, dt, t_or_n, value, extra = res.record.rows[0]
+        n, dt, t_or_n, value, extra = next(res.record.rows())
         assert (n, dt, t_or_n, extra) == (8, 1e-2, 8, "linf_error")
         assert value == res.errors[0]
 
@@ -163,7 +220,7 @@ class TestVarspeedDriver:
         res = run_varspeed(n=32, dt=2e-3, filtered=True, t_final=0.5)
         assert np.all(np.isfinite(res.u_final))
         assert res.linf_error <= 0.05
-        kinds = {extra for *_, extra in res.record.rows}
+        kinds = {extra for *_, extra in res.record.rows()}
         assert kinds == {"solution", "linf_error", "total_variation"}
 
     @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0, 1e-12])
@@ -427,6 +484,12 @@ class TestBurgersDriver:
         for _, before, after in res.trajectory.filter_events:
             assert after <= before * (1.0 + 1e-12)
 
+    def test_many_filter_events_are_held_as_one_array(self):
+        # 10^5 events are 2.4 MB as (k, 3) doubles; a tuple per event held 9.2 MB
+        res, held = held_bytes(lambda: run_burgers("cons_filtered", n=8, filter_count=10**5))
+        assert held < 4e6, held
+        assert res.trajectory.filter_events.shape == (10**5, 3)
+
     @pytest.mark.parametrize("variant", ["cons_filtered", "skew_unfiltered"])
     @pytest.mark.parametrize("kwargs, match", [
         (dict(filter_count=0), "filter count"),
@@ -502,5 +565,6 @@ class TestBurgersDriver:
 class TestFvDriver:
     def test_profile_rows(self):
         res = run_fv_reference(FvConfig(cells=50, t_final=0.1))
-        assert len(res.record.rows) == 50
-        assert all(extra == "solution" for *_, extra in res.record.rows)
+        rows = list(res.record.rows())
+        assert len(rows) == 50
+        assert all(extra == "solution" for *_, extra in rows)

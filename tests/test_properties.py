@@ -209,14 +209,28 @@ def fstring_row(experiment, variant, n, dt, t_or_n, value, extra):
 
 @PROPERTY
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.floats(),
-                          st.one_of(st.floats(), st.integers(-10**6, 10**6)), st.floats(),
-                          st.sampled_from(("", "energy", "crash", "solution"))),
-                min_size=1, max_size=20))
-@example([(128, np.nan, np.inf, -np.inf, "crash"), (7, -0.0, 5e-324, 2.2250738585072e-308, ""),
-          (3, 0.1, 3, 1.0 / 3.0, "energy")])
-def test_csv_rows_match_the_fstring_format(rows):
+                          st.lists(st.tuples(st.one_of(st.floats(), st.integers(-10**6, 10**6)),
+                                             st.floats()), min_size=1, max_size=8),
+                          st.sampled_from(("", "energy", "crash", "solution")), st.booleans()),
+                min_size=1, max_size=10))
+@example([(128, np.nan, [(np.inf, -np.inf)], "crash", True),
+          (7, -0.0, [(5e-324, 2.2250738585072e-308), (-0.0, np.nan), (12, 5.0)], "", False),
+          (3, 0.1, [(3, 1.0 / 3.0), (-5, -0.0)], "energy", True)])
+def test_csv_rows_match_the_fstring_format(blocks):
+    """Each block of (t_or_N, value) pairs is added as two arrays or as one
+    scalar row per pair; either way every row writes as the f-strings format it."""
+    record = ExperimentRecord("burgers", "cons_unfiltered")
+    for n, dt, pairs, extra, as_arrays in blocks:
+        if as_arrays:
+            t_or_n, value = zip(*pairs)
+            record.add(n, dt, np.array(t_or_n), np.array(value), extra)
+        else:
+            for t_or_n, value in pairs:
+                record.add(n, dt, t_or_n, value, extra)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.csv"
-        write_csv(path, [ExperimentRecord("burgers", "cons_unfiltered", rows=list(rows))])
+        write_csv(path, [record])
         lines = path.read_text(encoding="utf-8").split("\n")
-    assert lines[1:] == [fstring_row("burgers", "cons_unfiltered", *row) for row in rows] + [""]
+    assert lines[1:] == [fstring_row("burgers", "cons_unfiltered", n, dt, t_or_n, value, extra)
+                         for n, dt, pairs, extra, _ in blocks
+                         for t_or_n, value in pairs] + [""]

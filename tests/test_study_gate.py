@@ -25,6 +25,11 @@ build differs, the hash comparison and the exact Burgers and FV checks are
 skipped with both fingerprints in the reason; the exit codes and the
 tolerance checks still run.
 
+A command-line run (``python -m dgfilter.cli`` or the console script) with
+no thread variable set runs at one thread, so it writes the gate's bytes; a
+thread count set in its environment, or a library call of ``cli.main``,
+keeps its own. The tests at the end check both in subprocesses.
+
 Run as a script, this file runs the commands into a directory and prints
 the build, the digests and the summary as JSON; ``--write-hashes`` stores
 the build and the digests as the hash table. The summary is not written by
@@ -54,7 +59,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgfilter import cli
+from dgfilter import THREAD_VARS, cli
 from helpers import shock_position
 
 DATA = Path(__file__).with_name("data")
@@ -204,6 +209,51 @@ def test_nonlinear_final_values_match_exactly(gate_run):
     for name, value in expected.items():
         if name.startswith("burgers_") or name == "fv_shock_position":
             assert gate_run["summary"][name] == value, name
+
+
+# how a subprocess runs ``varspeed --out <path>``: the two command-line entries,
+# which pick the thread count, and a library call of cli.main, which keeps it
+LAUNCHERS = {
+    "module": ["-m", "dgfilter.cli"],
+    "console": ["-c", "import sys; from dgfilter import console_main; sys.exit(console_main())"],
+    "library": ["-c", "import sys; from dgfilter.cli import main; sys.exit(main(sys.argv[1:]))"],
+}
+
+
+def subprocess_env(**thread_vars) -> dict:
+    """This environment with ``src`` on the path and, of the thread variables, only ``thread_vars``."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    path = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return {**env, **thread_vars, "PYTHONPATH": path}
+
+
+def varspeed_bytes(tmp_path, launcher: str, **thread_vars) -> bytes:
+    """The default varspeed CSV written by ``launcher`` in a subprocess."""
+    path = tmp_path / f"{launcher}.csv"
+    subprocess.run([sys.executable, *LAUNCHERS[launcher], "varspeed", "--out", str(path)],
+                   env=subprocess_env(**thread_vars), check=True, capture_output=True, timeout=120)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("launcher", ["module", "console"])
+def test_a_command_line_run_defaults_to_one_thread(gate_run, tmp_path, launcher):
+    digest = sha256(varspeed_bytes(tmp_path, launcher))
+    assert digest == gate_run["digests"]["csv"]["varspeed"]
+    skip_unless_recorded_build(gate_run["build"])
+    assert digest == json.loads((DATA / "study_hashes.json").read_text())["csv"]["varspeed"]
+
+
+def test_a_command_line_run_keeps_a_chosen_thread_count(tmp_path):
+    assert (varspeed_bytes(tmp_path, "module", OPENBLAS_NUM_THREADS="2")
+            == varspeed_bytes(tmp_path, "library", OPENBLAS_NUM_THREADS="2"))
+
+
+def test_a_library_import_sets_no_thread_variable():
+    code = ("import os, dgfilter.cli, dgfilter.experiments\n"
+            "print([v for v in dgfilter.THREAD_VARS if v in os.environ])")
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "[]\n"
 
 
 def main(argv):
