@@ -46,13 +46,14 @@ import numpy as np
 from . import experiments
 from .filters import FilterSpec, verify_filter
 from .fv import FvConfig
-from .operators import build_operators, gram_diagonal, sbp_residual, sbp_tolerance
+from .operators import MAX_DEGREE, build_operators, gram_diagonal, sbp_residual, sbp_tolerance
 
 def _parse_n_list(text: str) -> list[int]:
-    """Accept 'start:stop[:step]' (stop exclusive, like range) or 'a,b,c'."""
+    """Accept 'start:stop[:step]' (stop exclusive, like range) or 'a,b,c'. A range is never
+    built whole: its first MAX_DEGREE + 1 degrees, all distinct, hold one past every cap."""
     try:
         if ":" in text:
-            values = list(range(*map(int, text.split(":"))))
+            values = list(range(*map(int, text.split(":")))[:MAX_DEGREE + 1])
         else:
             values = [int(p) for p in text.split(",")]
     except (TypeError, ValueError):  # a bad integer, a zero step, or four parts

@@ -20,9 +20,9 @@ import numpy as np
 from .equations import ProblemSpec, linear_operator, make_rhs
 from .filters import FilterSpec, build_filter
 from .fv import FvConfig, solve_fv_burgers
-from .operators import OperatorSet, build_operator_sets, build_operators
-from .timestepping import (MAX_STEPS, RK3_C, FilterSchedule, Trajectory, check_step_budget,
-                           fixed_steps, integrate, rk3_affine_step, rk3_step)
+from .operators import OperatorSet, build_operator_sets, build_operators, check_count
+from .timestepping import (MAX_STEPS, RK3_C, FilterSchedule, Trajectory, check_positive,
+                           check_step_budget, fixed_steps, integrate, rk3_affine_step, rk3_step)
 
 CSV_HEADER = "experiment,variant,N,dt,t_or_N,value,extra"
 
@@ -303,12 +303,9 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
     """
     if variant not in BURGERS_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if not (math.isfinite(cfl) and cfl > 0):
-        raise ValueError("cfl must be positive and finite")
-    if not (math.isfinite(t_final) and t_final > 0):
-        raise ValueError("final time must be positive and finite")
-    if not 1 <= filter_count <= MAX_STEPS:
-        raise ValueError(f"filter count must lie in [1, {MAX_STEPS}], got {filter_count}")
+    check_positive(cfl, "cfl")
+    check_positive(t_final, "final time")
+    filter_count = check_count(filter_count, "filter count", 1, MAX_STEPS)
     pde = "burgers_conservative" if variant.startswith("cons") else "burgers_skew"
     filtered = variant.endswith("_filtered")
     problem = ProblemSpec(pde=pde, domain=(0.0, 2.0))

@@ -9,12 +9,12 @@ measure directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import OperatorSet, gram_diagonal
+from .operators import OperatorSet, check_count, gram_diagonal
+from .timestepping import check_positive
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,11 @@ class FilterSpec:
     clip_highest: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("alpha must be positive and finite")
-        if self.s <= 0 or self.s % 2 != 0:
-            raise ValueError("filter order s must be a positive even integer")
-        if self.nc < 0:
-            raise ValueError("number of unaffected modes must be non-negative")
+        check_positive(self.alpha, "alpha")
+        object.__setattr__(self, "s", check_count(self.s, "filter order s", 1))
+        if self.s % 2:
+            raise ValueError(f"filter order s must be even, got {self.s}")
+        object.__setattr__(self, "nc", check_count(self.nc, "unaffected mode count nc", 0))
 
 
 @dataclass(frozen=True)

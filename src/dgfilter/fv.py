@@ -9,7 +9,8 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from . import kernels
-from .timestepping import check_step_budget
+from .operators import check_count
+from .timestepping import check_positive, check_step_budget
 
 # Cell updates (cells x steps) one reference solve may make: about a minute
 # at the 1.5e8 updates per second of the LLF sweep on a 2-core machine.
@@ -30,12 +31,10 @@ class FvConfig:
     domain: ClassVar[tuple[float, float]] = (0.0, 2.0)
 
     def __post_init__(self):
-        if not 10 <= self.cells <= MAX_CELLS:
-            raise ValueError(f"reference grid needs 10 to {MAX_CELLS} cells, got {self.cells}")
+        object.__setattr__(self, "cells", check_count(self.cells, "cells", 10, MAX_CELLS))
         if not 0.0 < self.cfl <= 0.95:
             raise ValueError("forward Euler needs cfl in (0, 0.95]")
-        if not (math.isfinite(self.t_final) and self.t_final > 0):
-            raise ValueError("final time must be positive and finite")
+        check_positive(self.t_final, "final time")
 
     @property
     def dx(self) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -108,21 +109,19 @@ def _legendre_table(x: np.ndarray, table) -> None:
             p_prev, p = p, nxt
 
 
-def _check_degree(n: int) -> int:
-    """``n`` as a plain int in [1, MAX_DEGREE]; ``ValueError`` for a bool, a
-    non-integer (``1.0`` too) or a degree out of range."""
+def check_count(value, name: str, lo: int, hi: float = math.inf) -> int:
+    """``value`` as a plain int in [lo, hi]; ``ValueError`` for a bool, a
+    non-integer (``1.0`` too) or a count out of range. The one integer rule
+    of every degree, grid size, filter count and filter parameter."""
     try:
-        index = None if isinstance(n, bool) else operator.index(n)
+        index = operator.index(value)
     except TypeError:
         index = None
-    if index is None:
-        raise ValueError(f"degree must be an integer, not {n!r}")
-    n = index
-    if n < 1:
-        raise ValueError("degree must be >= 1 (a single node has no boundary matrix)")
-    if n > MAX_DEGREE:
-        raise ValueError(f"degree {n} exceeds the configured maximum {MAX_DEGREE}")
-    return n
+    if index is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if not lo <= index <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {index}")
+    return index
 
 
 def _lgl_newton(ns: Sequence[int], half) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -135,10 +134,10 @@ def _lgl_newton(ns: Sequence[int], half) -> tuple[np.ndarray, np.ndarray, dict]:
     Newton, being sign-symmetric, need only run on x >= 0. Each pass runs
     :func:`_legendre_table` over all the nodes into the ``(max(ns) + 1) x
     x.size`` array ``half`` and reads each node's P_n and P_{n-1} from it, at
-    the node's own n; a degree stops without its step once its max|step| <=
-    ``_NEWTON_TOL``. The last pass, where every degree has stopped, leaves P_k
-    at the final nodes in row k of ``half``, and P_n is from that pass: n = 2
-    takes one recurrence (its seed, 0, is the root), n >= 3 three.
+    the node's own n, and stops without its step once max|step| <= ``_NEWTON_TOL``
+    over all nodes. That last pass leaves P_k at the final nodes in row k of
+    ``half``, and P_n is from it: n = 2 takes one (its seed, 0, is the root, and
+    its steps are 0), and every n >= 3 three, alone or in any batch.
     """
     if not ns:
         return np.empty(0), np.empty(0), {}
@@ -167,12 +166,8 @@ def _lgl_newton(ns: Sequence[int], half) -> tuple[np.ndarray, np.ndarray, dict]:
         dp = nodal * (p_prev - x * p) / omx2
         d2p = (2.0 * x * dp - nodal_n1 * p) / omx2
         step = dp / d2p
-        worst = np.maximum.reduceat(np.abs(step), cuts[:-1]).tolist()
-        moving = [not s <= _NEWTON_TOL for s in worst]
-        if not any(moving):
+        if np.max(np.abs(step)) <= _NEWTON_TOL:
             break
-        if not all(moving):
-            step *= np.repeat(moving, sizes)  # x - 0 = x: stopped nodes keep their bits
         x -= step
     else:
         raise RuntimeError(f"LGL Newton iteration failed to converge for n in {ns}")
@@ -201,7 +196,7 @@ def lgl_nodes_weights(n: int, table=None) -> tuple[np.ndarray, np.ndarray]:
     :func:`_lgl_newton` (0, 1 and 3 recurrences at n = 1, 2 and >= 3), whose last pass fills an
     ``(n + 1) x (n + 1)`` table, the caller's ``table`` or its own, with P_k(nodes_j) in row k,
     bit for bit the table :func:`vandermonde` evaluates."""
-    n = _check_degree(n)
+    n = check_count(n, "degree", 1, MAX_DEGREE)
     table = np.empty((n + 1, n + 1)) if table is None else table
     x, p, _ = _lgl_newton([n] if n >= 2 else [], table[:, (n + 1) // 2:n])
     return _lgl_rule(n, x, p, table)
@@ -324,7 +319,7 @@ def build_operators(n: int, check: bool = True) -> OperatorSet:
     set, but every call gets a set of its own degree.
     """
     global _held
-    n = _check_degree(n)
+    n = check_count(n, "degree", 1, MAX_DEGREE)
     ops = _held
     if ops is None or ops.N != n:
         _held = ops = None
@@ -348,7 +343,7 @@ def build_operator_sets(ns: Sequence[int]) -> Iterator[OperatorSet]:
     ``ValueError``, before anything is allocated; build such degrees alone
     or in smaller batches.
     """
-    ns = [_check_degree(n) for n in ns]
+    ns = [check_count(n, "degree", 1, MAX_DEGREE) for n in ns]
     solve = sorted({n for n in ns if n >= 2})
     # degree 1 has no interior node: it takes empty slices of any solve
     rows, cols = max(solve, default=1) + 1, sum(n // 2 for n in solve)

@@ -22,6 +22,13 @@ _RK3_STAGES = tuple(zip((RK3_A[0], *map(np.array, RK3_A[1:])), map(np.array, RK3
 MAX_STEPS = 10**7
 
 
+def check_positive(value: float, name: str) -> None:
+    """Reject a ``value`` that is not positive and finite: the one rule of every
+    final time, step, CFL number and filter strength."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def check_step_budget(t_final: float, dt: float) -> None:
     """Reject a step ``dt`` that would need more than ``MAX_STEPS`` steps to
     reach ``t_final``; an infinite ``dt`` passes."""
@@ -113,10 +120,8 @@ def fixed_steps(t_final: float, dt: float) -> tuple[np.ndarray, float]:
     / 4, stays finite; a power-of-two scale rounds alike (the quarters are
     subnormal only for a ``t_final`` below ``eps``, which keeps no start).
     """
-    if not (math.isfinite(t_final) and t_final > 0):
-        raise ValueError("final time must be positive and finite")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive and finite")
+    check_positive(t_final, "final time")
+    check_positive(dt, "dt")
     check_step_budget(t_final, dt)
     eps = 1e-12 * max(1.0, abs(t_final))
     starts = np.full(int(t_final / dt) + 3, 0.25 * dt)
@@ -157,8 +162,7 @@ def integrate(
     ``crash_check`` (default: any non-finite entry) truncates the run and
     records the crash time.
     """
-    if not (math.isfinite(t_final) and t_final > 0):
-        raise ValueError("final time must be positive and finite")
+    check_positive(t_final, "final time")
     observers = observers or {}
     if crash_check is None:
         crash_check = _default_crash_check

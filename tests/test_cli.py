@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes and CSV output."""
 
 import os
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -31,6 +32,20 @@ class TestNListParsing:
         assert exc.value.code == 2
         assert "_parse_n_list" not in err
         assert "start:stop[:step] with a nonzero step, or a,b,c" in err
+
+    def test_a_long_range_is_refused_without_being_built(self, tmp_path, capsys):
+        # two million degrees built whole would be about 76 MiB of ints and list
+        tracemalloc.start()
+        try:
+            code = main(["convergence", "--n-list", "7:2000000", "--out",
+                         str(tmp_path / "c.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("dgfilter: error: ") and err.count("\n") == 1
+        assert peak < 2**20, peak
 
 
 class Called(Exception):

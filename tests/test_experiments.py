@@ -497,6 +497,8 @@ class TestBurgersDriver:
         (dict(filter_count=MAX_STEPS + 1), "filter count"),
         (dict(t_final=-1.0), "final time"),
         (dict(t_final=np.nan), "final time"),
+        (dict(filter_count=2.5), "filter count must be an integer"),
+        (dict(filter_count=True), "filter count must be an integer"),
     ])
     def test_rejects_bad_input_before_operator_work(self, variant, kwargs, match, monkeypatch):
         def never_called(*args, **kwargs):

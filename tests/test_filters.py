@@ -27,7 +27,8 @@ class TestFilterSpec:
 
     @pytest.mark.parametrize("bad", [dict(alpha=0.0), dict(alpha=-1.0),
                                      dict(s=15), dict(s=0), dict(nc=-1),
-                                     dict(alpha=math.nan), dict(alpha=math.inf)])
+                                     dict(alpha=math.nan), dict(alpha=math.inf),
+                                     dict(nc=2.5), dict(nc=True), dict(s=16.0)])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             FilterSpec(**bad)

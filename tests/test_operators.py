@@ -97,10 +97,13 @@ class TestNodesWeights:
 
     @pytest.mark.parametrize("n", SWEEP_NS)
     def test_at_most_three_legendre_passes(self, n, monkeypatch):
-        """The asymptotic seed converges in three Newton passes, and N = 2's seed, 0,
-        is its root; the last pass also gives the weights and the table behind V, so a
-        build runs exactly 0, 1 and 3 recurrences at N = 1, 2 and >= 3, and so does
-        lgl_nodes_weights alone, which fills a table of its own."""
+        """The asymptotic seed converges in exactly three Newton passes, and N = 2's
+        seed, 0, is its root; the last pass also gives the weights and the table behind
+        V, so a build runs exactly 0, 1 and 3 recurrences at N = 1, 2 and >= 3, and so
+        does lgl_nodes_weights alone, which fills a table of its own. The solve's one
+        stop rule, over all the nodes of a batch, rests on this: no degree >= 3 stops
+        before its third pass, and N = 2's zero steps leave its node as it is, so a
+        batch with N = 2 runs as many recurrences as the other degree alone."""
         calls = []
         fill = operators._legendre_table
 
@@ -115,6 +118,9 @@ class TestNodesWeights:
         passes = {1: 0, 2: 1}.get(n, 3)
         assert (built, len(calls) - built) == (passes, passes)
         assert calls == [n] * (2 * passes)
+        del calls[:]
+        list(build_operator_sets([2, n]))
+        assert calls == [max(n, 2)] * max(passes, 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 397, 512])
     def test_fills_its_own_table_when_none_is_passed(self, n, monkeypatch):
