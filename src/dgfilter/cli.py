@@ -16,6 +16,8 @@ is the driver's (``experiments.run_convergence``, ``run_varspeed``,
 Exit codes: 0 success, 1 tolerance failure, 2 usage error. A parameter
 that the package rejects (``ValueError``) or an output path that cannot be
 written (``OSError``) is a usage error: one line on stderr, no traceback.
+``--out`` is opened for append before the study runs, so the OS's own
+message refuses it; a run that then fails removes the file only if it made it.
 
 A command that builds operators has glibc keep freed memory from its
 first build on (``operators.keep_freed_memory``), so the N^2 arrays of one
@@ -36,9 +38,9 @@ if __name__ == "__main__":  # the console entry, before numpy loads
     sys.exit(console_main())
 
 import argparse
+import contextlib
 import functools
 import os
-import stat
 import time
 
 import numpy as np
@@ -177,37 +179,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out(path: str) -> None:
-    """Fail before a study runs if its CSV cannot be created."""
-    if os.path.isdir(path):
-        raise OSError(f"cannot write {path}: it is a directory")
-    if not (name := os.path.basename(path)):  # '' or a trailing separator
-        raise OSError(f"cannot write {path!r}: it names no file")
-    # an existing file or device (/dev/null) is written in place: its own
-    # permission counts, not its directory's
-    mode = os.stat(path).st_mode if os.path.exists(path) else 0
-    if stat.S_ISREG(mode) or stat.S_ISCHR(mode):
-        if not os.access(path, os.W_OK):
-            raise OSError(f"cannot write {path}: it is not writable")
-        return
-    parent = os.path.dirname(os.path.abspath(path))
-    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
-        raise OSError(f"cannot write {path}: {parent} is not a writable directory")
-    # pathconf reads -1 where the file system sets no limit
-    if hasattr(os, "pathconf") and -1 < os.pathconf(parent, "PC_NAME_MAX") < len(os.fsencode(name)):
-        raise OSError(f"cannot write {path}: its file name is longer than {parent} allows")
-
-
 def main(argv=None) -> int:
     args = vars(build_parser().parse_args(argv))
     opts = {k: v for k, v in args.items() if k not in ("command", "subcommand", "func")}
     out = opts.get("out")
+    created = out is not None and not os.path.exists(out)
     try:
-        if out is not None:
-            _check_out(out)
-        t_start = time.perf_counter()
-        code = args["func"](**opts)
-    except (ValueError, OSError) as exc:
+        # the OS answers whether out can be written. Append keeps an existing file's
+        # bytes; held open through the study, a FIFO's reader sees no end before the CSV
+        with open(out, "ab") if out is not None else contextlib.nullcontext():
+            t_start = time.perf_counter()
+            code = args["func"](**opts)
+    except BaseException as exc:
+        if created and os.path.exists(out):  # through a symlink, the file it names
+            os.remove(os.path.realpath(out))
+        if not isinstance(exc, (ValueError, OSError)):
+            raise
         print(f"dgfilter: error: {exc}", file=sys.stderr)
         return 2
     if out is not None:

@@ -1,6 +1,8 @@
 """Tests for the command-line interface: exit codes and CSV output."""
 
+import errno
 import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -196,6 +198,11 @@ class TestExitCodes:
                      id="out-missing-dir-trailing-separator"),
         pytest.param(["burgers", "--variant", "skew_filtered", "--out", "{tmp}/existing_file/"],
                      id="out-file-trailing-separator"),
+        # a symlink to a file in a missing directory, and a symlink to itself
+        pytest.param(["fv-reference", "--cells", "100", "--out", "{tmp}/dangling"],
+                     id="out-dangling-symlink"),
+        pytest.param(["fv-reference", "--cells", "100", "--out", "{tmp}/loop"],
+                     id="out-symlink-loop"),
         pytest.param(["burgers", "--variant", "skew_unfiltered", "--cfl", "nan",
                       "--out", "{tmp}/b.csv"], id="burgers-nan-cfl"),
         pytest.param(["convergence", "--n-list", "7,9", "--dt", "nan", "--out", "{tmp}/c.csv"],
@@ -217,11 +224,15 @@ class TestExitCodes:
         monkeypatch.setattr(experiments, "run_fv_reference", never_called)
         monkeypatch.setattr(experiments, "integrate", never_called)
         (tmp_path / "existing_file").touch()
+        os.symlink(tmp_path / "missing" / "x.csv", tmp_path / "dangling")
+        os.symlink(tmp_path / "loop", tmp_path / "loop")
         code = main([a.format(tmp=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("dgfilter: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        # nothing the refused run created is left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling", "existing_file", "loop"]
 
     def test_fv_first_step_beyond_the_step_cap_is_exit_two(self, tmp_path, capsys,
                                                            monkeypatch):
@@ -339,22 +350,101 @@ class TestCsvOutputs:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestOutCleanup:
+    """``--out`` is opened before the study; a run that then fails removes the
+    file only if this run created it. A refused parameter, such as ``--cells 5``,
+    is among the rejected inputs above, each of which leaves no file behind."""
+
+    def test_a_non_usage_exception_propagates_and_removes_the_file(self, tmp_path,
+                                                                   monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("driver failed")
+
+        monkeypatch.setattr(experiments, "run_fv_reference", broken)
+        out = tmp_path / "new.csv"
+        with pytest.raises(RuntimeError, match="driver failed"):
+            main(["fv-reference", "--cells", "100", "--out", str(out)])
+        assert not out.exists()
+
+    def test_a_failed_write_removes_the_file(self, tmp_path, capsys, monkeypatch):
+        def full_disk(path, records):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(CSV_HEADER)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(experiments, "write_csv", full_disk)
+        out = tmp_path / "new.csv"
+        assert main(["fv-reference", "--cells", "100", "--out", str(out)]) == 2
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(out))
+        assert capsys.readouterr().err == f"dgfilter: error: {full}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--cells", "5"], id="refused-input"),
+        pytest.param(["--cfl", "1e-9"], id="refused-in-the-driver"),
+    ])
+    def test_an_existing_out_keeps_its_bytes_when_the_run_is_refused(self, argv, tmp_path):
+        out = tmp_path / "fv.csv"
+        out.write_bytes(b"old\n")
+        assert main(["fv-reference", *argv, "--out", str(out)]) == 2
+        assert out.read_bytes() == b"old\n"
+
+    def test_a_symlink_keeps_its_link_and_loses_the_file_it_made(self, tmp_path):
+        link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        os.symlink(target, link)
+        assert main(["fv-reference", "--cells", "5", "--out", str(link)]) == 2
+        assert link.is_symlink() and not target.exists()
+        assert main(["fv-reference", "--cells", "100", "--out", str(link)]) == 0
+        assert target.read_text(encoding="utf-8").startswith(CSV_HEADER)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_fifo_reader_gets_the_whole_csv(self, tmp_path, monkeypatch):
+        fifo = str(tmp_path / "fifo")
+        os.mkfifo(fifo)
+        got, spare, ended = [], [], threading.Event()
+
+        def reader():
+            with open(fifo, "rb") as fh:
+                got.append(fh.read())
+            ended.set()
+            # a second reader, so that a writer that opens after the end is not stuck
+            spare.append(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+
+        def study(*args):
+            # had the open before the study already been closed, the reader would be at its end
+            ended.wait(0.2)
+            return run_fv_reference(*args)
+
+        run_fv_reference = experiments.run_fv_reference
+        monkeypatch.setattr(experiments, "run_fv_reference", study)
+        thread = threading.Thread(target=reader)
+        thread.start()
+        assert main(["fv-reference", "--cells", "100", "--out", fifo]) == 0
+        thread.join()
+        os.close(spare[0])
+        assert got[0].startswith(CSV_HEADER.encode()) and got[0].endswith(b"\n")
+
+
 class TestOutPermissions:
     """``--out`` is held to the permission its open for writing needs: an existing
-    file's own, a new file's directory's. ``os.access`` is patched to deny writes,
-    since a process running as root passes every access check."""
+    file's own, a new file's directory's. A process running as root passes every
+    permission check, so ``open`` is patched to refuse, as the OS would, a write to
+    a listed file or a new file in a listed directory."""
 
     @pytest.fixture
     def read_only(self, monkeypatch):
         paths = set()
-        access = os.access
+        real_open = open
 
-        def denied(path, mode, **kwargs):
-            if mode == os.W_OK and os.path.abspath(path) in paths:
-                return False
-            return access(path, mode, **kwargs)
+        def denied(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and set(mode) & set("wax+"):
+                path = os.path.abspath(file)
+                if path in paths or (not os.path.exists(path)
+                                     and os.path.dirname(path) in paths):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+            return real_open(file, mode, *args, **kwargs)
 
-        monkeypatch.setattr(os, "access", denied)
+        monkeypatch.setattr("builtins.open", denied)
         return paths
 
     @staticmethod
@@ -385,7 +475,7 @@ class TestOutPermissions:
         read_only.add(str(out))
         assert main(["fv-reference", "--cells", "100", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == f"dgfilter: error: cannot write {out}: it is not writable\n"
+        assert err == f"dgfilter: error: [Errno 13] Permission denied: '{out}'\n"
         assert out.read_text(encoding="utf-8") == "old"
 
     def test_a_new_file_in_a_read_only_directory_is_refused(self, tmp_path, read_only, capsys,
@@ -393,5 +483,6 @@ class TestOutPermissions:
         self._no_study(monkeypatch)
         read_only.add(str(tmp_path))
         assert main(["fv-reference", "--cells", "100", "--out", str(tmp_path / "f.csv")]) == 2
-        assert "is not a writable directory" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"dgfilter: error: [Errno {errno.EACCES}] ") and err.count("\n") == 1
         assert not (tmp_path / "f.csv").exists()
