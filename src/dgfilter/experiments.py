@@ -2,10 +2,10 @@
 
 Each driver returns a result object holding the raw arrays plus an
 :class:`ExperimentRecord` whose column blocks reference those arrays and
-serialize to CSV, a row at a time, with the fixed schema
-``experiment,variant,N,dt,t_or_N,value,extra``. Rows carry their full
-parameter tuple so the files are self-describing, and nothing
-time-of-day-dependent is written, so identical invocations produce
+serialize to CSV, in fixed batches of rows from one template per block,
+with the fixed schema ``experiment,variant,N,dt,t_or_N,value,extra``. Rows
+carry their full parameter tuple so the files are self-describing, and
+nothing time-of-day-dependent is written, so identical invocations produce
 byte-identical output at the same BLAS thread count.
 """
 
@@ -25,6 +25,8 @@ from .timestepping import (MAX_STEPS, RK3_C, FilterSchedule, Trajectory, check_p
                            check_step_budget, fixed_steps, integrate, rk3_affine_step, rk3_step)
 
 CSV_HEADER = "experiment,variant,N,dt,t_or_N,value,extra"
+# rows formatted and written at a time by write_csv
+CSV_BATCH_ROWS = 1024
 
 BURGERS_VARIANTS = ("cons_unfiltered", "cons_filtered", "skew_unfiltered", "skew_filtered")
 
@@ -100,8 +102,9 @@ class ExperimentRecord:
     The series are held as column blocks (N, dt, t_or_N, value, extra): one
     N, dt and extra for the block, and ``t_or_N`` and ``value`` as 1-D
     float arrays of one length. A block added from a driver's float arrays
-    references them, with no copy. For CFL-adaptive runs the dt slot carries
-    the CFL number instead of a fixed step size.
+    references them, with no copy; :func:`write_csv` formats each block from
+    one row template. For CFL-adaptive runs the dt slot carries the CFL
+    number instead of a fixed step size.
     """
 
     experiment: str
@@ -126,17 +129,27 @@ class ExperimentRecord:
 def write_csv(path, records: Sequence[ExperimentRecord]) -> None:
     """Write records with the fixed schema; UTF-8, LF.
 
-    The records' blocks are formatted row by row here: each row is
-    ``experiment,variant,`` and then ``N,dt,t_or_N,value,extra`` formatted
-    once as ``"%d,%.17g,%.17g,%.17g,%s"``: 17 significant digits round-trip
-    every double.
+    Each row is ``experiment,variant,`` and then ``N,dt,t_or_N,value,extra``
+    as ``"%d,%.17g,%.17g,%.17g,%s"``: 17 significant digits round-trip every
+    double. All but ``t_or_N`` and ``value`` is formatted once per block, into
+    a row template made before the file is opened (so a block that cannot be
+    formatted raises with an existing file untouched), and the rows are
+    written ``CSV_BATCH_ROWS`` at a time, in memory that does not grow with
+    the row count.
     """
-    lines = [CSV_HEADER]
+    blocks = []
     for rec in records:
-        prefix = f"{rec.experiment},{rec.variant},"
-        lines.extend(prefix + "%d,%.17g,%.17g,%.17g,%s" % row for row in rec.rows())
+        prefix = f"{rec.experiment},{rec.variant},".replace("%", "%%")
+        for n, dt, t_or_n, value, extra in rec.blocks:
+            extra = str(extra).replace("%", "%%")
+            template = prefix + "%d,%.17g,%%.17g,%%.17g,%s\n" % (n, dt, extra)
+            blocks.append((template.__mod__, t_or_n, value))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        for row, t_or_n, value in blocks:
+            for i in range(0, t_or_n.size, CSV_BATCH_ROWS):
+                batch = slice(i, i + CSV_BATCH_ROWS)
+                fh.write("".join(map(row, zip(t_or_n[batch].tolist(), value[batch].tolist()))))
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,32 @@ class TestCsv:
         write_csv(p2, [run_convergence([7, 9], dt=1e-2).record])
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("n", ["7", np.nan, None])
+    def test_an_unformattable_block_raises_and_keeps_the_file(self, n, tmp_path):
+        good = ExperimentRecord("e", "v")
+        good.add(3, 0.5, np.zeros(5), np.ones(5), "solution")
+        bad = ExperimentRecord("e", "v")
+        bad.add(n, 0.5, 1.0, 2.0, "crash")
+        path = tmp_path / "kept.csv"
+        path.write_bytes(b"old\n")
+        with pytest.raises((TypeError, ValueError)):
+            write_csv(path, [good, bad])
+        assert path.read_bytes() == b"old\n"
+
+    def test_writing_holds_a_fixed_batch_not_the_file(self, tmp_path):
+        rec = ExperimentRecord("fv_reference", "llf_euler")
+        rec.add(50_000, 0.9, np.linspace(0.0, 2.0, 50_000), np.linspace(-1.0, 1.0, 50_000),
+                "solution")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "big.csv", [rec])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file is 4.9 MB of text; one batch of rows takes about 0.3 MiB
+        assert peak < 2 * 2**20
+
     def test_no_commas_in_variant_tags(self):
         assert "," not in FILTER_PARAMS
         assert filter_tag(False) == "unfiltered"

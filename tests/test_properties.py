@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dgfilter.equations import ProblemSpec, linear_operator, make_rhs
-from dgfilter.experiments import ExperimentRecord, run_convergence, run_varspeed, write_csv
+from dgfilter.experiments import (CSV_BATCH_ROWS, ExperimentRecord, run_convergence, run_varspeed,
+                                  write_csv)
 from dgfilter.filters import FilterSpec, auxiliary_filter, build_filter, contractivity_spectrum
 from dgfilter.fv import FvConfig, solve_fv_burgers
 from dgfilter.operators import build_operators, sbp_tolerance
@@ -234,3 +235,23 @@ def test_csv_rows_match_the_fstring_format(blocks):
     assert lines[1:] == [fstring_row("burgers", "cons_unfiltered", n, dt, t_or_n, value, extra)
                          for n, dt, pairs, extra, _ in blocks
                          for t_or_n, value in pairs] + [""]
+
+
+def test_csv_templates_escape_percent_and_span_batches(tmp_path):
+    """Tags and extras holding ``%`` write as themselves, and a block of any
+    length writes the same rows across the batch boundaries."""
+    sizes = (1, CSV_BATCH_ROWS, CSV_BATCH_ROWS + 1, 2 * CSV_BATCH_ROWS + 1)
+    record = ExperimentRecord("a%db", "%s%%")
+    expected = []
+    for k, size in enumerate(sizes):
+        t_or_n = np.arange(size) * 0.1 - k
+        value = np.sin(t_or_n) / 3.0
+        value[::7] = (np.nan, np.inf, -0.0, 5e-324)[k]
+        extra = ("%", "x%dy", "%%s", "")[k]
+        record.add(size, 0.1 * k, t_or_n, value, extra)
+        expected += [fstring_row("a%db", "%s%%", size, 0.1 * k, t, v, extra)
+                     for t, v in zip(t_or_n.tolist(), value.tolist())]
+    path = tmp_path / "rows.csv"
+    write_csv(path, [record])
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[1:] == expected + [""]
