@@ -21,8 +21,8 @@ from .equations import ProblemSpec, linear_operator, make_rhs
 from .filters import FilterSpec, build_filter
 from .fv import FvConfig, solve_fv_burgers
 from .operators import OperatorSet, build_operator_sets, build_operators, check_count
-from .timestepping import (MAX_STEPS, RK3_C, FilterSchedule, Trajectory, check_positive,
-                           check_step_budget, fixed_steps, integrate, rk3_affine_step, rk3_step)
+from .timestepping import (MAX_STEPS, RK3_C, Trajectory, check_positive, check_step_budget,
+                           fixed_steps, integrate, rk3_affine_step, rk3_step)
 
 CSV_HEADER = "experiment,variant,N,dt,t_or_N,value,extra"
 # rows formatted and written at a time by write_csv
@@ -307,12 +307,13 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
                 cfl: float = 0.4, t_final: float = 2.25) -> BurgersResult:
     """One Burgers variant on [0, 2], periodic, CFL-adaptive stepping.
 
-    Filtered variants apply the study filter at ``filter_count`` equally spaced
-    times (snapped to step boundaries). ``t_final`` and ``1 <= filter_count
-    <= MAX_STEPS`` are checked before any operator work, and a first step
-    needing more than ``MAX_STEPS`` steps is rejected before it is taken. The
-    energy is recorded after every step; a crash (non-finite state or energy
-    blow-up) ends the run and is recorded as data, not an error.
+    Filtered variants apply the study filter at the first step end at or
+    beyond each of ``filter_count`` equally spaced times, at most once per
+    step end. ``t_final`` and ``1 <= filter_count <= MAX_STEPS`` are checked
+    before any operator work, and a first step needing more than
+    ``MAX_STEPS`` steps is rejected before it is taken. The energy is
+    recorded after every step; a crash (non-finite state or energy blow-up)
+    ends the run and is recorded as data, not an error.
     """
     if variant not in BURGERS_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -348,8 +349,11 @@ def run_burgers(variant: str, n: int = 128, filter_count: int = 16,
 
     schedule = None
     if filtered:
-        times = t_final * np.arange(1, filter_count + 1) / filter_count
-        schedule = FilterSchedule(build_filter(ops, STUDY_FILTER).F, times=times)
+        # built in place: a peak of one array of filter_count doubles, not two
+        times = np.arange(1, filter_count + 1, dtype=float)
+        times *= t_final
+        times /= filter_count
+        schedule = build_filter(ops, STUDY_FILTER).F, times
 
     def crash_check(u):
         # a non-finite entry, or a finite state whose u * u overflows, makes

@@ -1,4 +1,4 @@
-"""Low-storage third-order Runge-Kutta time integration with scheduled filtering."""
+"""Low-storage third-order Runge-Kutta time integration with filtering at step ends."""
 
 from __future__ import annotations
 
@@ -36,26 +36,12 @@ def check_step_budget(t_final: float, dt: float) -> None:
         raise ValueError(f"t_final / dt exceeds the step cap {MAX_STEPS}")
 
 
-@dataclass(frozen=True)
-class FilterSchedule:
-    """Apply the nodal filter ``F`` at the first step boundary at or beyond
-    each of ``times``, a strictly increasing sequence of positive times."""
-
-    F: np.ndarray
-    times: Sequence[float]
-
-    def __post_init__(self):
-        ts = np.asarray(self.times, dtype=float)
-        if ts.size == 0 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
-            raise ValueError("filter times must be strictly increasing and positive")
-
-
 @dataclass
 class Trajectory:
     """Recorded series, filter events and final state of one run.
 
     ``filter_events`` is a (k, 3) float array, one row (t, norm before,
-    norm after) per filter application.
+    norm after) per filter application, at most one per step.
     """
 
     times: np.ndarray
@@ -140,7 +126,7 @@ def integrate(
     u0: np.ndarray,
     rhs: Callable[[np.ndarray, float], np.ndarray],
     t_final: float,
-    schedule: Optional[FilterSchedule] = None,
+    schedule: Optional[tuple[np.ndarray, Sequence[float]]] = None,
     observers: Optional[dict[str, Callable[[float, np.ndarray], float]]] = None,
     norm_fn: Optional[Callable[[np.ndarray], float]] = None,
     crash_check: Optional[Callable[[np.ndarray], bool]] = None,
@@ -154,11 +140,12 @@ def integrate(
     step size is ``dt_fn`` of the current state; a fixed step is
     ``dt_fn = lambda u: dt``, whose steps :func:`fixed_steps` lists and
     checks. The time and the ``observers`` are recorded at ``t0`` and after
-    every step. Without a ``schedule`` nothing is filtered; its times snap
-    to the first step boundary at or beyond them. Each filter application is
-    a filter event (t, ``norm_fn`` of the state before and after it, or
-    ``nan`` without a ``norm_fn``), written into an array of one row per
-    scheduled time; the filled rows are returned. A crash detected by
+    every step. Without a ``schedule`` nothing is filtered; a schedule is a
+    pair ``(F, times)`` with ``times`` sorted, and ``F`` is applied once at
+    the end of each step by which one or more of the times are due, so never
+    more often than the steps; times past the horizon are never due. Each
+    filter application is a filter event (t, ``norm_fn`` of the state before
+    and after it, or ``nan`` without a ``norm_fn``). A crash detected by
     ``crash_check`` (default: any non-finite entry) truncates the run and
     records the crash time.
     """
@@ -167,17 +154,17 @@ def integrate(
     if crash_check is None:
         crash_check = _default_crash_check
     t_end = t0 + t_final
-    if schedule is not None and schedule.times[-1] > t_end + 1e-12:
-        raise ValueError("scheduled filter times must lie within the horizon")
-    pending = iter(() if schedule is None else schedule.times)
-    next_filter = float(next(pending, math.inf))
+    eps = 1e-12 * max(1.0, abs(t_end))
+    # a time is due at the first step end t with t >= time - eps
+    fmat, filter_times = (None, ()) if schedule is None else schedule
+    due = np.asarray(filter_times, dtype=float) - eps
+    next_due = float(due[0]) if due.size else math.inf
 
     u = np.array(u0, dtype=float, copy=True)
     t = t0
     times: list[float] = []
     series: dict[str, list[float]] = {name: [] for name in observers}
-    events = np.empty((0 if schedule is None else len(schedule.times), 3))
-    n_events = 0
+    events: list[tuple[float, float, float]] = []
 
     def record(now, state):
         times.append(now)
@@ -185,18 +172,15 @@ def integrate(
             series[name].append(float(fn(now, state)))
 
     def apply_filter(now, state):
-        nonlocal n_events
         before = norm_fn(state) if norm_fn is not None else np.nan
-        state = schedule.F @ state
+        state = fmat @ state
         after = norm_fn(state) if norm_fn is not None else np.nan
-        events[n_events] = now, before, after
-        n_events += 1
+        events.append((now, before, after))
         return state
 
     record(t, u)
     step = 0
     crash_time = None
-    eps = 1e-12 * max(1.0, abs(t_end))
 
     while t < t_end - eps:
         dt = min(float(dt_fn(u)), t_end - t)
@@ -209,16 +193,17 @@ def integrate(
             record(t, u)
             break
 
-        while t >= next_filter - eps:
+        if t >= next_due:
             u = apply_filter(t, u)
-            next_filter = float(next(pending, math.inf))
+            k = int(np.searchsorted(due, t, side="right"))
+            next_due = float(due[k]) if k < due.size else math.inf
 
         record(t, u)
 
     return Trajectory(
         times=np.asarray(times),
         series={name: np.asarray(vals) for name, vals in series.items()},
-        filter_events=events[:n_events],
+        filter_events=np.array(events, dtype=float).reshape(-1, 3),
         u_final=u,
         t_final=t,
         n_steps=step,

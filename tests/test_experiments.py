@@ -1,6 +1,7 @@
 """Tests for the experiment drivers, diagnostics and CSV emission."""
 
 import gc
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -33,8 +34,8 @@ from dgfilter.experiments import (
 from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.fv import FvConfig
 from dgfilter.operators import build_operators
-from dgfilter.timestepping import (MAX_STEPS, RK3_C, FilterSchedule, fixed_steps, integrate,
-                                   rk3_affine_step, rk3_step)
+from dgfilter.timestepping import (MAX_STEPS, RK3_C, fixed_steps, integrate, rk3_affine_step,
+                                   rk3_step)
 from helpers import (conservative_advection_rhs, linear_rhs, shock_position,
                      varspeed_advection_rhs, zero_product_affine_step)
 
@@ -399,7 +400,7 @@ class TestLinearPropagator:
         problem, n, u0_fn, exact_fn = linear_case(kind, ref_calls)
         ops = build_operators(n)
         fmat = build_filter(ops, FilterSpec()).F
-        schedule = FilterSchedule(fmat, step_ends) if filtered else None
+        schedule = (fmat, step_ends) if filtered else None
         traj = integrate(u0_fn(x), linear_rhs(problem, ops), t_final, schedule=schedule,
                          dt_fn=lambda u: dt)
 
@@ -511,10 +512,30 @@ class TestBurgersDriver:
             assert after <= before * (1.0 + 1e-12)
 
     def test_many_filter_events_are_held_as_one_array(self):
-        # 10^5 events are 2.4 MB as (k, 3) doubles; a tuple per event held 9.2 MB
-        res, held = held_bytes(lambda: run_burgers("cons_filtered", n=8, filter_count=10**5))
-        assert held < 4e6, held
-        assert res.trajectory.filter_events.shape == (10**5, 3)
+        # 2000 events, one per step end, are 48 kB as (k, 3) doubles beside
+        # 16 kB of step times; a tuple per event held 306 kB
+        k, dt = 2000, 2.0**-10
+        res, held = held_bytes(lambda: integrate(
+            np.ones(1), lambda u, t: -u, k * dt, schedule=(np.eye(1), dt * np.arange(1, k + 1)),
+            norm_fn=lambda u: float(u @ u), dt_fn=lambda u: dt))
+        assert held < 40 * k, held
+        assert res.filter_events.shape == (k, 3)
+
+    def test_a_filter_count_above_the_steps_filters_once_per_step_end(self):
+        def timed(count):
+            start = time.perf_counter()
+            res = run_burgers("cons_filtered", n=8, filter_count=count)
+            return res.trajectory, time.perf_counter() - start
+
+        timed(16)
+        _, default_s = timed(16)
+        # 10^6 times on 23 steps
+        traj, many_s = timed(10**6)
+        events = traj.filter_events
+        assert len(events) == traj.n_steps
+        assert np.array_equal(events[:, 0], traj.times[1:])
+        assert np.all(events[:, 2] <= events[:, 1] * (1.0 + 1e-12))
+        assert many_s < 10 * default_s + 0.2, (many_s, default_s)
 
     @pytest.mark.parametrize("variant", ["cons_filtered", "skew_unfiltered"])
     @pytest.mark.parametrize("kwargs, match", [
@@ -553,7 +574,7 @@ class TestBurgersDriver:
             pass
 
         def capture(u0, rhs, t_final, schedule=None, **kwargs):
-            captured["times"] = schedule.times
+            captured["times"] = schedule[1]
             raise Captured
 
         monkeypatch.setattr(experiments, "integrate", capture)

@@ -14,8 +14,8 @@ from dgfilter.equations import ProblemSpec
 from dgfilter.experiments import gaussian_pulse
 from dgfilter.filters import FilterSpec, build_filter
 from dgfilter.operators import build_operators
-from dgfilter.timestepping import (MAX_STEPS, RK3_A, RK3_B, RK3_C, FilterSchedule,
-                                   check_step_budget, fixed_steps, integrate, rk3_step)
+from dgfilter.timestepping import (MAX_STEPS, RK3_A, RK3_B, RK3_C, check_step_budget,
+                                   fixed_steps, integrate, rk3_step)
 from helpers import discrete_norm, linear_rhs
 
 
@@ -217,19 +217,6 @@ class TestStepBudget:
         assert seen.pop() == (0.7, 0.5 * 0.02 / 0.25)
 
 
-class TestFilterSchedule:
-    def test_rejects_unsorted_times(self):
-        ops = build_operators(4)
-        fm = build_filter(ops, FilterSpec())
-        with pytest.raises(ValueError):
-            FilterSchedule(fm.F, times=(0.5, 0.25))
-
-    @pytest.mark.parametrize("times", [(), (0.0, 0.5), (-0.1,)])
-    def test_rejects_empty_or_nonpositive_times(self, times):
-        with pytest.raises(ValueError):
-            FilterSchedule(np.eye(3), times=times)
-
-
 def advection_setup(n=24, g=None):
     problem = ProblemSpec(pde="advection_variable", domain=(0.0, 1.0), wave_speed_fn=np.ones_like,
                           inflow=g or (lambda t: float(gaussian_pulse(0.0, t))))
@@ -262,7 +249,7 @@ class TestIntegrate:
         u0 = gaussian_pulse(x, 0.25)  # pulse centered inside the domain
         traj = integrate(
             u0, linear_rhs(problem, ops), 0.5, dt_fn=lambda u: 1e-3,
-            schedule=FilterSchedule(fm.F, times=loop_step_ends(0.5, 1e-3)),
+            schedule=(fm.F, loop_step_ends(0.5, 1e-3)),
             observers={"norm": lambda t, u: discrete_norm(u, ops.weights)},
         )
         assert len(traj.filter_events) == traj.n_steps == 500
@@ -274,7 +261,7 @@ class TestIntegrate:
         fm = build_filter(ops, FilterSpec(nc=2))
         traj = integrate(
             gaussian_pulse(x, 0.0), linear_rhs(problem, ops), 0.4, dt_fn=lambda u: 0.03,
-            schedule=FilterSchedule(fm.F, times=(0.1, 0.2, 0.4)),
+            schedule=(fm.F, (0.1, 0.2, 0.4)),
             norm_fn=lambda u: discrete_norm(u, ops.weights),
         )
         event_times = [t for t, _, _ in traj.filter_events]
@@ -282,6 +269,14 @@ class TestIntegrate:
         assert np.allclose(event_times, [0.12, 0.21, 0.4], atol=1e-12)
         for _, before, after in traj.filter_events:
             assert after <= before * (1.0 + 1e-12)
+
+    def test_times_due_by_one_step_end_filter_once(self):
+        # steps of 0.25 on [0, 1]: 0.1 to 0.25 are due at 0.25, 0.3 at 0.5,
+        # none by 0.75, and 1.5 lies past the horizon
+        traj = integrate(np.ones(2), lambda u, t: 0.0 * u, 1.0, dt_fn=lambda u: 0.25,
+                         schedule=(0.5 * np.eye(2), (0.1, 0.2, 0.25, 0.3, 1.5)))
+        assert np.array_equal(traj.filter_events[:, 0], [0.25, 0.5])
+        assert np.array_equal(traj.u_final, [0.25, 0.25])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_crash_returns_partial_series(self):
@@ -310,13 +305,6 @@ class TestIntegrate:
         sizes = iter([0.5, 0.25, 0.125, 10.0])
         traj = integrate(np.ones(2), lambda u, t: -u, 1.0, dt_fn=lambda u: next(sizes))
         assert np.allclose(traj.times, [0.0, 0.5, 0.75, 0.875, 1.0], atol=1e-15)
-
-    def test_filter_times_must_fit_horizon(self):
-        ops = build_operators(4)
-        fm = build_filter(ops, FilterSpec(nc=2))
-        with pytest.raises(ValueError):
-            integrate(np.ones(5), lambda u, t: -u, 1.0, dt_fn=lambda u: 0.1,
-                      schedule=FilterSchedule(fm.F, times=(0.5, 1.5)))
 
     def test_records_each_step(self):
         traj = integrate(np.ones(2), lambda u, t: -u, 1.0, dt_fn=lambda u: 0.1,
